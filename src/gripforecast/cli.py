@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from collections import deque
 from pathlib import Path
@@ -130,13 +131,44 @@ def save_checkpoint(path: str | Path, params: m.ModelParams, cfg: TrainConfig) -
         fh.write("\n")
 
 
+def _checkpoint_int(path: str | Path, doc: dict, key: str) -> int:
+    value = doc.get(key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"checkpoint {path}: {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _checkpoint_array(
+    path: str | Path, what: str, value: object, shape: tuple[int, ...]
+) -> np.ndarray:
+    """A finite float array of exactly `shape` from a JSON value."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint {path}: {what} is not numeric") from exc
+    if arr.shape != shape:
+        raise DataError(
+            f"checkpoint {path}: {what} has shape {list(arr.shape)}, "
+            f"expected {list(shape)}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"checkpoint {path}: {what} contains non-finite values")
+    return arr
+
+
 def load_checkpoint(path: str | Path) -> tuple[m.ModelParams, dict]:
-    """Validated load; returns the parameters and the raw document."""
+    """Validated load; returns the parameters and the raw document.
+
+    Any malformed field raises DataError naming it, so a checkpoint that
+    loads always yields finite weights and usable normalization stats.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"checkpoint {path} must be a JSON object")
 
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
@@ -154,54 +186,50 @@ def load_checkpoint(path: str | Path) -> tuple[m.ModelParams, dict]:
             f"checkpoint {path} declares horizon {doc.get('horizon')!r}, "
             f"expected {HORIZON}"
         )
+    hidden = _checkpoint_int(path, doc, "hidden")
+    if hidden < 1:
+        raise DataError(f"checkpoint {path}: 'hidden' must be >= 1, got {hidden}")
+    input_dim = _checkpoint_int(path, doc, "input_dim")
+    if input_dim != m.INPUT_DIM:
+        raise DataError(
+            f"checkpoint {path} declares input_dim {input_dim}, expected {m.INPUT_DIM}"
+        )
 
-    hidden = int(doc["hidden"])
-    input_dim = int(doc["input_dim"])
-    template = m.init_params(0, hidden=hidden, input_dim=input_dim)
+    weights = doc.get("weights")
+    if not isinstance(weights, dict):
+        raise DataError(f"checkpoint {path} has no 'weights' object")
     arrays = {}
-    for name, ref in m.named_arrays(template):
-        try:
-            entry = doc["weights"][name]
-        except KeyError as exc:
-            raise DataError(f"checkpoint {path} is missing weight {name!r}") from exc
-        shape = tuple(entry["shape"])
-        data = np.asarray(entry["data"], dtype=float)
-        if shape != ref.shape:
+    for name, shape in m.param_shapes(hidden, input_dim).items():
+        entry = weights.get(name)
+        if not isinstance(entry, dict):
+            raise DataError(f"checkpoint {path} is missing weight {name!r}")
+        if entry.get("shape") != list(shape):
             raise DataError(
-                f"checkpoint {path}: weight {name!r} declares shape {list(shape)}, "
-                f"expected {list(ref.shape)}"
+                f"checkpoint {path}: weight {name!r} declares shape "
+                f"{entry.get('shape')!r}, expected {list(shape)}"
             )
-        if data.size != math.prod(shape):
-            raise DataError(
-                f"checkpoint {path}: weight {name!r} has {data.size} values "
-                f"for declared shape {list(shape)}"
-            )
-        if not np.all(np.isfinite(data)):
-            raise DataError(f"checkpoint {path}: weight {name!r} contains non-finite values")
+        data = _checkpoint_array(path, f"weight {name!r}", entry.get("data"),
+                                 (math.prod(shape),))
         arrays[name] = data.reshape(shape)
 
     norm_doc = doc.get("norm")
-    if norm_doc is None:
+    if not isinstance(norm_doc, dict):
         raise DataError(f"checkpoint {path} has no normalization stats")
     norm = NormStats(
-        wrench_mean=np.asarray(norm_doc["wrench_mean"], dtype=float),
-        wrench_std=np.asarray(norm_doc["wrench_std"], dtype=float),
-        grip_mean=float(norm_doc["grip_mean"]),
-        grip_std=float(norm_doc["grip_std"]),
+        wrench_mean=_checkpoint_array(path, "norm.wrench_mean",
+                                      norm_doc.get("wrench_mean"), (m.INPUT_DIM,)),
+        wrench_std=_checkpoint_array(path, "norm.wrench_std",
+                                     norm_doc.get("wrench_std"), (m.INPUT_DIM,)),
+        grip_mean=float(_checkpoint_array(path, "norm.grip_mean",
+                                          norm_doc.get("grip_mean"), ())),
+        grip_std=float(_checkpoint_array(path, "norm.grip_std",
+                                         norm_doc.get("grip_std"), ())),
     )
-
-    params = m.ModelParams(
-        layer1=m.LstmLayerParams(
-            w_ih=arrays["layer1.w_ih"], w_hh=arrays["layer1.w_hh"], b=arrays["layer1.b"]
-        ),
-        layer2=m.LstmLayerParams(
-            w_ih=arrays["layer2.w_ih"], w_hh=arrays["layer2.w_hh"], b=arrays["layer2.b"]
-        ),
-        head_w=arrays["head_w"],
-        head_b=arrays["head_b"],
-        norm=norm,
-    )
-    return params, doc
+    if np.any(norm.wrench_std <= 0.0) or norm.grip_std <= 0.0:
+        raise DataError(
+            f"checkpoint {path}: normalization standard deviations must be > 0"
+        )
+    return m.params_from_arrays(arrays, norm=norm), doc
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +551,16 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except BrokenPipeError:
+        # The reader closed our stdout (`stream ... | head -1`): that ends the
+        # run, not an error. Point stdout at devnull, as the Python docs
+        # advise, so the flush at exit raises no second BrokenPipeError.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_OK
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ContractViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except BrokenPipeError:
-        return EXIT_OK

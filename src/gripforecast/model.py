@@ -8,6 +8,9 @@ backpropagation through time; there is no autograd underneath.
 
 Internally everything is batched over (T, B, D) arrays; the single-sample
 forward/backward are the B=1 case. Samples batched together must share T.
+Each layer keeps only the recurrent product h_{t-1} @ W_hh^T (and, in BPTT,
+its transpose) inside the time loop; the input projection, the weight
+gradients and dL/dx run as single GEMMs over all T*B rows.
 """
 
 from __future__ import annotations
@@ -22,11 +25,6 @@ from .numerics import Rng
 
 GATE_ORDER = "ifgo"
 INPUT_DIM = 6
-
-
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    # tanh form avoids exp overflow for large negative inputs.
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 @dataclass
@@ -84,6 +82,37 @@ def named_arrays(obj: ModelParams | Gradients) -> list[tuple[str, np.ndarray]]:
     ]
 
 
+def param_shapes(
+    hidden: int, input_dim: int = INPUT_DIM, horizon: int = HORIZON
+) -> dict[str, tuple[int, ...]]:
+    """Weight shapes by name, in the fixed order of named_arrays()."""
+    return {
+        "layer1.w_ih": (4 * hidden, input_dim),
+        "layer1.w_hh": (4 * hidden, hidden),
+        "layer1.b": (4 * hidden,),
+        "layer2.w_ih": (4 * hidden, hidden),
+        "layer2.w_hh": (4 * hidden, hidden),
+        "layer2.b": (4 * hidden,),
+        "head_w": (horizon, hidden),
+        "head_b": (horizon,),
+    }
+
+
+def params_from_arrays(
+    arrays: dict[str, np.ndarray], norm: NormStats | None = None,
+    horizon: int = HORIZON,
+) -> ModelParams:
+    """Assemble ModelParams from arrays keyed by the names of param_shapes()."""
+    def layer(prefix: str) -> LstmLayerParams:
+        return LstmLayerParams(w_ih=arrays[f"{prefix}.w_ih"],
+                               w_hh=arrays[f"{prefix}.w_hh"],
+                               b=arrays[f"{prefix}.b"])
+
+    return ModelParams(layer1=layer("layer1"), layer2=layer("layer2"),
+                       head_w=arrays["head_w"], head_b=arrays["head_b"],
+                       norm=norm, horizon=horizon)
+
+
 def init_params(
     seed: int,
     hidden: int = 40,
@@ -101,20 +130,15 @@ def init_params(
         raise ContractViolation(f"hidden must be >= 1, got {hidden}")
     rng = Rng(seed)
     bound = 1.0 / np.sqrt(hidden)
-
-    def layer(d_in: int) -> LstmLayerParams:
-        w_ih = rng.uniform_matrix(4 * hidden, d_in, -bound, bound)
-        w_hh = rng.uniform_matrix(4 * hidden, hidden, -bound, bound)
-        b = np.zeros(4 * hidden)
-        b[hidden : 2 * hidden] = 1.0
-        return LstmLayerParams(w_ih=w_ih, w_hh=w_hh, b=b)
-
-    l1 = layer(input_dim)
-    l2 = layer(hidden)
-    head_w = rng.uniform_matrix(horizon, hidden, -bound, bound)
-    head_b = np.zeros(horizon)
-    return ModelParams(layer1=l1, layer2=l2, head_w=head_w, head_b=head_b,
-                       horizon=horizon)
+    arrays = {}
+    for name, shape in param_shapes(hidden, input_dim, horizon).items():
+        if len(shape) == 2:
+            arrays[name] = rng.uniform_matrix(*shape, -bound, bound)
+        else:
+            arrays[name] = np.zeros(shape)
+    arrays["layer1.b"][hidden : 2 * hidden] = 1.0
+    arrays["layer2.b"][hidden : 2 * hidden] = 1.0
+    return params_from_arrays(arrays, horizon=horizon)
 
 
 def zero_gradients(p: ModelParams) -> Gradients:
@@ -134,27 +158,8 @@ def zero_gradients(p: ModelParams) -> Gradients:
     )
 
 
-def cell_forward(
-    x_t: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-    p: LstmLayerParams,
-) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """One LSTM step on vectors; cache feeds the matching backward step."""
-    h = p.hidden
-    z = p.w_ih @ x_t + p.w_hh @ h_prev + p.b
-    i = sigmoid(z[:h])
-    f = sigmoid(z[h : 2 * h])
-    g = np.tanh(z[2 * h : 3 * h])
-    o = sigmoid(z[3 * h :])
-    c_t = f * c_prev + i * g
-    h_t = o * np.tanh(c_t)
-    cache = (x_t, h_prev, c_prev, i, f, g, o, c_t)
-    return h_t, c_t, cache
-
-
 class _LayerCache:
-    """Per-layer forward activations retained for BPTT."""
+    """Per-layer forward activations retained for BPTT (which consumes them)."""
 
     __slots__ = ("xs", "gates", "cs", "hs")
 
@@ -166,70 +171,109 @@ class _LayerCache:
         self.hs = hs  # (T, B, H)
 
 
+def _per_gate(h: int, on_sigmoid: float, on_g: float) -> np.ndarray:
+    """A (4H,) vector over the i|f|g|o block: on_sigmoid on i, f, o; on_g on g."""
+    v = np.full(4 * h, on_sigmoid)
+    v[2 * h : 3 * h] = on_g
+    return v
+
+
 def _layer_forward(xs: np.ndarray, p: LstmLayerParams) -> tuple[np.ndarray, _LayerCache]:
-    t_steps, batch, _ = xs.shape
+    """Run one layer over (T, B, D) inputs; returns hs (T, B, H) and the cache.
+
+    The input projection X @ W_ih^T + b does not depend on h_{t-1}, so it runs
+    as one (T*B, D) GEMM straight into the gate cache before the loop
+    (Appleyard et al., arXiv:1604.01946); only h_{t-1} @ W_hh^T stays inside.
+    The i, f, o rows of W_ih, W_hh and b are halved first, which is exact in
+    binary floating point, so one tanh pass over the whole 4H block, then
+    `*= [1/2, 1/2, 1, 1/2]` and `+= [1/2, 1/2, 0, 1/2]`, activates all four
+    gates: sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 on i, f, o and tanh on g.
+    """
+    t_steps, batch, d_in = xs.shape
     h = p.hidden
+    scale, shift = _per_gate(h, 0.5, 1.0), _per_gate(h, 0.5, 0.0)
+    w_ih_t = (p.w_ih * scale[:, None]).T
+    w_hh_t = (p.w_hh * scale[:, None]).T.copy()  # C order: h @ W runs as NN GEMM
     gates = np.empty((t_steps, batch, 4 * h))
     cs = np.empty((t_steps, batch, h))
     hs = np.empty((t_steps, batch, h))
-    h_t = np.zeros((batch, h))
-    c_t = np.zeros((batch, h))
-    for t in range(t_steps):
-        z = xs[t] @ p.w_ih.T + h_t @ p.w_hh.T + p.b
-        i = sigmoid(z[:, :h])
-        f = sigmoid(z[:, h : 2 * h])
-        g = np.tanh(z[:, 2 * h : 3 * h])
-        o = sigmoid(z[:, 3 * h :])
-        c_t = f * c_t + i * g
-        h_t = o * np.tanh(c_t)
-        gates[t, :, :h] = i
-        gates[t, :, h : 2 * h] = f
-        gates[t, :, 2 * h : 3 * h] = g
-        gates[t, :, 3 * h :] = o
-        cs[t] = c_t
-        hs[t] = h_t
+    np.matmul(xs.reshape(t_steps * batch, d_in), w_ih_t,
+              out=gates.reshape(t_steps * batch, 4 * h))
+    gates += p.b * scale
+    rec = np.empty((batch, 4 * h))
+    fc = np.empty((batch, h))
+    per_gate = (gates[:, :, k * h : (k + 1) * h] for k in range(4))
+    h_prev = c_prev = None
+    for z, i, f, g, o, c_t, h_t in zip(gates, *per_gate, cs, hs):
+        if h_prev is not None:
+            z += np.matmul(h_prev, w_hh_t, out=rec)
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
+        np.multiply(i, g, out=c_t)
+        if c_prev is not None:
+            c_t += np.multiply(f, c_prev, out=fc)
+        np.tanh(c_t, out=h_t)
+        h_t *= o
+        h_prev, c_prev = h_t, c_t
     return hs, _LayerCache(xs, gates, cs, hs)
 
 
 def _layer_backward(
     dhs: np.ndarray, cache: _LayerCache, p: LstmLayerParams
 ) -> tuple[np.ndarray, LstmLayerParams]:
-    """BPTT through one layer given per-step dL/dh; returns dL/dx per step."""
+    """BPTT through one layer given per-step dL/dh; returns dL/dx per step.
+
+    Consumes the cache: once step t has read its gates, dL/dz for that step
+    is written over cache.gates[t], and cache.cs[t] is replaced by its tanh.
+    Only dz_t @ W_hh and the element-wise work stay in the time loop; dW_ih,
+    dW_hh, db and dL/dx are then single GEMMs or reductions over the
+    (T*B, 4H) block of dL/dz. No (T, B, *) array is allocated beyond dL/dx.
+    """
     t_steps, batch, h = dhs.shape
-    dxs = np.empty_like(cache.xs)
-    dw_ih = np.zeros_like(p.w_ih)
-    dw_hh = np.zeros_like(p.w_hh)
-    db = np.zeros_like(p.b)
+    gates, cs, hs, xs = cache.gates, cache.cs, cache.hs, cache.xs
+    # d(activation)/dz = y * (alpha - y) + gamma: y(1 - y) on the sigmoid
+    # gates, 1 - y^2 on g.
+    alpha, gamma = _per_gate(h, 1.0, 0.0), _per_gate(h, 0.0, 1.0)
+    dh = np.empty((batch, h))
+    dc = np.zeros((batch, h))  # dL/dc_t, then carried to step t - 1
+    tmp = np.empty((batch, h))
+    dact = np.empty((batch, 4 * h))
+    up = np.empty((batch, 4 * h))  # dL/d(activation) over the i|f|g|o block
+    up_i, up_f, up_g, up_o = (up[:, k * h : (k + 1) * h] for k in range(4))
     dh_rec = np.zeros((batch, h))
-    dc_rec = np.zeros((batch, h))
-    dz = np.empty((batch, 4 * h))
-    for t in range(t_steps - 1, -1, -1):
-        i = cache.gates[t, :, :h]
-        f = cache.gates[t, :, h : 2 * h]
-        g = cache.gates[t, :, 2 * h : 3 * h]
-        o = cache.gates[t, :, 3 * h :]
-        c_prev = cache.cs[t - 1] if t > 0 else np.zeros((batch, h))
-        h_prev = cache.hs[t - 1] if t > 0 else np.zeros((batch, h))
-        tanh_c = np.tanh(cache.cs[t])
+    rev = gates[::-1]
+    per_gate = (rev[:, :, k * h : (k + 1) * h] for k in range(4))
+    c_prevs = [*cs[-2::-1], None]
+    for y, i, f, g, o, c_t, c_prev, dh_t in zip(rev, *per_gate, cs[::-1], c_prevs,
+                                                dhs[::-1]):
+        tanh_c = np.tanh(c_t, out=c_t)  # c_t was last read as c_prev one step ago
+        np.add(dh_t, dh_rec, out=dh)
+        np.multiply(dh, tanh_c, out=up_o)
+        np.multiply(tanh_c, tanh_c, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        tmp *= o
+        tmp *= dh
+        dc += tmp
+        np.multiply(dc, g, out=up_i)
+        if c_prev is None:
+            up_f.fill(0.0)
+        else:
+            np.multiply(dc, c_prev, out=up_f)
+        np.multiply(dc, i, out=up_g)
+        dc *= f
+        np.subtract(alpha, y, out=dact)
+        dact *= y
+        dact += gamma
+        np.multiply(up, dact, out=y)  # y now holds dL/dz_t
+        np.matmul(y, p.w_hh, out=dh_rec)
 
-        dh = dhs[t] + dh_rec
-        do = dh * tanh_c
-        dc = dc_rec + dh * o * (1.0 - tanh_c * tanh_c)
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dc_rec = dc * f
-
-        dz[:, :h] = di * i * (1.0 - i)
-        dz[:, h : 2 * h] = df * f * (1.0 - f)
-        dz[:, 2 * h : 3 * h] = dg * (1.0 - g * g)
-        dz[:, 3 * h :] = do * o * (1.0 - o)
-
-        dw_ih += dz.T @ cache.xs[t]
-        dw_hh += dz.T @ h_prev
-        db += dz.sum(axis=0)
-        dxs[t] = dz @ p.w_ih
-        dh_rec = dz @ p.w_hh
+    dz = gates.reshape(t_steps * batch, 4 * h)
+    dxs = np.empty(xs.shape)
+    np.matmul(dz, p.w_ih, out=dxs.reshape(t_steps * batch, -1))
+    dw_ih = dz.T @ xs.reshape(t_steps * batch, -1)
+    dw_hh = dz[batch:].T @ hs[:-1].reshape((t_steps - 1) * batch, h)
+    db = dz.sum(axis=0)
     return dxs, LstmLayerParams(w_ih=dw_ih, w_hh=dw_hh, b=db)
 
 

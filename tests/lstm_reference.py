@@ -1,0 +1,137 @@
+"""Reference LSTM arithmetic that the tests hold the model against.
+
+These are the plain per-step formulations: one cell step on vectors, and
+BPTT with every product (weight gradients included) taken inside the time
+loop. They are slow on purpose; the model hoists the non-recurrent GEMMs
+out of the loop and must agree with these up to summation order.
+"""
+
+import numpy as np
+
+from gripforecast import model as m
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    # tanh form avoids exp overflow for large negative inputs.
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
+def cell_forward(
+    x_t: np.ndarray,
+    h_prev: np.ndarray,
+    c_prev: np.ndarray,
+    p: m.LstmLayerParams,
+) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """One LSTM step on vectors; cache feeds the matching backward step."""
+    h = p.hidden
+    z = p.w_ih @ x_t + p.w_hh @ h_prev + p.b
+    i = sigmoid(z[:h])
+    f = sigmoid(z[h : 2 * h])
+    g = np.tanh(z[2 * h : 3 * h])
+    o = sigmoid(z[3 * h :])
+    c_t = f * c_prev + i * g
+    h_t = o * np.tanh(c_t)
+    cache = (x_t, h_prev, c_prev, i, f, g, o, c_t)
+    return h_t, c_t, cache
+
+
+def scalar_loop_forward(x: np.ndarray, p: m.ModelParams) -> np.ndarray:
+    """Per-step cell_forward loop over a (T, 6) window, no batching."""
+    H = p.hidden
+    h1 = np.zeros(H)
+    c1 = np.zeros(H)
+    h2 = np.zeros(H)
+    c2 = np.zeros(H)
+    for t in range(len(x)):
+        h1, c1, _ = cell_forward(x[t], h1, c1, p.layer1)
+        h2, c2, _ = cell_forward(h1, h2, c2, p.layer2)
+    return p.head_w @ h2 + p.head_b
+
+
+def reference_layer_forward(xs: np.ndarray, p: m.LstmLayerParams):
+    """Batched per-step forward with four slice activations; returns hs and
+    the cache in the model's layout."""
+    t_steps, batch, _ = xs.shape
+    h = p.hidden
+    gates = np.empty((t_steps, batch, 4 * h))
+    cs = np.empty((t_steps, batch, h))
+    hs = np.empty((t_steps, batch, h))
+    h_t = np.zeros((batch, h))
+    c_t = np.zeros((batch, h))
+    for t in range(t_steps):
+        z = xs[t] @ p.w_ih.T + h_t @ p.w_hh.T + p.b
+        i = sigmoid(z[:, :h])
+        f = sigmoid(z[:, h : 2 * h])
+        g = np.tanh(z[:, 2 * h : 3 * h])
+        o = sigmoid(z[:, 3 * h :])
+        c_t = f * c_t + i * g
+        h_t = o * np.tanh(c_t)
+        gates[t] = np.concatenate([i, f, g, o], axis=1)
+        cs[t] = c_t
+        hs[t] = h_t
+    return hs, m._LayerCache(xs, gates, cs, hs)
+
+
+def reference_layer_backward(
+    dhs: np.ndarray, cache: m._LayerCache, p: m.LstmLayerParams
+) -> tuple[np.ndarray, m.LstmLayerParams]:
+    """BPTT through one layer given per-step dL/dh; every GEMM inside the loop.
+
+    Returns dL/dx per step and the layer's gradients. The cache is only read.
+    """
+    xs, gates, cs, hs = cache.xs, cache.gates, cache.cs, cache.hs
+    t_steps, batch, h = dhs.shape
+    dxs = np.empty_like(xs)
+    dw_ih = np.zeros_like(p.w_ih)
+    dw_hh = np.zeros_like(p.w_hh)
+    db = np.zeros_like(p.b)
+    dh_rec = np.zeros((batch, h))
+    dc_rec = np.zeros((batch, h))
+    dz = np.empty((batch, 4 * h))
+    for t in range(t_steps - 1, -1, -1):
+        i = gates[t, :, :h]
+        f = gates[t, :, h : 2 * h]
+        g = gates[t, :, 2 * h : 3 * h]
+        o = gates[t, :, 3 * h :]
+        c_prev = cs[t - 1] if t > 0 else np.zeros((batch, h))
+        h_prev = hs[t - 1] if t > 0 else np.zeros((batch, h))
+        tanh_c = np.tanh(cs[t])
+
+        dh = dhs[t] + dh_rec
+        do = dh * tanh_c
+        dc = dc_rec + dh * o * (1.0 - tanh_c * tanh_c)
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dc_rec = dc * f
+
+        dz[:, :h] = di * i * (1.0 - i)
+        dz[:, h : 2 * h] = df * f * (1.0 - f)
+        dz[:, 2 * h : 3 * h] = dg * (1.0 - g * g)
+        dz[:, 3 * h :] = do * o * (1.0 - o)
+
+        dw_ih += dz.T @ xs[t]
+        dw_hh += dz.T @ h_prev
+        db += dz.sum(axis=0)
+        dxs[t] = dz @ p.w_ih
+        dh_rec = dz @ p.w_hh
+    return dxs, m.LstmLayerParams(w_ih=dw_ih, w_hh=dw_hh, b=db)
+
+
+def reference_backward_batch(
+    xs: np.ndarray, y_true: np.ndarray, p: m.ModelParams
+) -> tuple[float, m.Gradients]:
+    """Mean-over-batch MSE loss and its gradients, from the reference layers."""
+    hs1, cache1 = reference_layer_forward(xs, p.layer1)
+    hs2, cache2 = reference_layer_forward(hs1, p.layer2)
+    y_hat = hs2[-1] @ p.head_w.T + p.head_b
+    batch = y_hat.shape[0]
+    residual = y_hat - y_true
+    loss = float(np.mean(residual * residual))
+    dy = (2.0 / (p.horizon * batch)) * residual
+    dhs2 = np.zeros_like(hs2)
+    dhs2[-1] = dy @ p.head_w
+    dxs2, l2_grads = reference_layer_backward(dhs2, cache2, p.layer2)
+    _, l1_grads = reference_layer_backward(dxs2, cache1, p.layer1)
+    return loss, m.Gradients(layer1=l1_grads, layer2=l2_grads,
+                             head_w=dy.T @ hs2[-1], head_b=dy.sum(axis=0))

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line surface and its file formats."""
 
+import errno
 import io
 import json
+import os
 import subprocess
 import sys
 from dataclasses import fields
@@ -217,6 +219,52 @@ def test_eval_version_mismatch_is_data_error(run, tmp_path, capsys):
     assert "format_version" in capsys.readouterr().err
 
 
+# case -> (field path, replacement or None to delete it, text the error must name)
+MALFORMED_CHECKPOINTS = {
+    "missing_hidden": (("hidden",), None, "'hidden'"),
+    "string_hidden": (("hidden",), "6", "'hidden'"),
+    "float_input_dim": (("input_dim",), 6.5, "'input_dim'"),
+    "input_dim_not_6": (("input_dim",), 7, "input_dim"),
+    "short_wrench_mean": (("norm", "wrench_mean"), [0.0] * 5, "norm.wrench_mean"),
+    "nan_wrench_std": (("norm", "wrench_std"), [1.0, float("nan")] + [1.0] * 4,
+                       "norm.wrench_std"),
+    "zero_wrench_std": (("norm", "wrench_std"), [0.0] * 6, "> 0"),
+    "negative_wrench_std": (("norm", "wrench_std"), [-1.0] + [1.0] * 5, "> 0"),
+}
+# case -> (file bytes, text the error must name)
+UNREADABLE_CHECKPOINTS = {
+    "not_an_object": (b"[1, 2]", "JSON object"),
+    "not_utf8": (b"\xff\xfe{}", "not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS) + sorted(UNREADABLE_CHECKPOINTS))
+def test_malformed_checkpoint_is_data_error(run, tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    if case in UNREADABLE_CHECKPOINTS:
+        content, needle = UNREADABLE_CHECKPOINTS[case]
+        bad.write_bytes(content)
+    else:
+        (*outer, key), value, needle = MALFORMED_CHECKPOINTS[case]
+        doc = json.loads(run.ckpt.read_text())
+        block = doc
+        for name in outer:
+            block = block[name]
+        if value is None:
+            del block[key]
+        else:
+            block[key] = value
+        bad.write_text(json.dumps(doc))
+    rec = align_handover(load_recordings(run.data)[0])
+    window = tmp_path / "w.csv"
+    make_window_csv(window, rec, int(np.argmin(np.abs(rec.t_ms))))
+    rc = cli.main(["predict", "--model", str(bad), "--input", str(window)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_DATA
+    assert needle in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # predict
 
@@ -358,3 +406,51 @@ def test_stream_accepts_header_line(run, cli_env):
     proc = run_stream(run, text)
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 2
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away; fileno() is a scratch file."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_stream_broken_pipe_exits_ok(run, tmp_path, capsys, monkeypatch):
+    rec = align_handover(load_recordings(run.data)[0])
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(ticks_for(rec, 40)) + "\n"))
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        rc = cli.main(["stream", "--model", str(run.ckpt)])
+    finally:
+        os.close(fd)
+    assert rc == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_stream_into_head_exits_ok(run, cli_env):
+    # `stream ... | head -1`: the reader leaves after one line while forecasts
+    # (far more than a pipe buffer of them) are still being written.
+    rec = align_handover(load_recordings(run.data)[0])
+    ticks = "\n".join(ticks_for(rec, 200)) + "\n"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gripforecast", "stream", "--model", str(run.ckpt)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=cli_env, text=True,
+    )
+    proc.stdin.write(ticks)
+    proc.stdin.close()
+    assert proc.stdout.readline().count(",") == 70
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == cli.EXIT_OK
+    assert proc.stderr.read() == ""
+    proc.stderr.close()

@@ -7,6 +7,12 @@ from gripforecast import model as m
 from gripforecast.dataset import NormStats
 from gripforecast.errors import ContractViolation
 from gripforecast.numerics import Rng, derive_seed
+from lstm_reference import (
+    cell_forward,
+    reference_backward_batch,
+    scalar_loop_forward,
+    sigmoid,
+)
 
 
 def small_params(seed=0, hidden=5):
@@ -71,7 +77,7 @@ def test_cell_zero_everything_closed_form():
     # so c = 0 and h = 0.
     h = 4
     p = m.LstmLayerParams(w_ih=np.zeros((4 * h, 6)), w_hh=np.zeros((4 * h, h)), b=np.zeros(4 * h))
-    h_t, c_t, _ = m.cell_forward(np.zeros(6), np.zeros(h), np.zeros(h), p)
+    h_t, c_t, _ = cell_forward(np.zeros(6), np.zeros(h), np.zeros(h), p)
     assert np.allclose(c_t, 0.0) and np.allclose(h_t, 0.0)
 
 
@@ -79,37 +85,24 @@ def test_cell_unit_cell_state_closed_form():
     # Zero weights, c_prev = 1: c = f*c_prev = 0.5, h = o*tanh(c) = 0.5*tanh(0.5).
     h = 3
     p = m.LstmLayerParams(w_ih=np.zeros((4 * h, 6)), w_hh=np.zeros((4 * h, h)), b=np.zeros(4 * h))
-    h_t, c_t, _ = m.cell_forward(np.zeros(6), np.zeros(h), np.ones(h), p)
+    h_t, c_t, _ = cell_forward(np.zeros(6), np.zeros(h), np.ones(h), p)
     assert np.allclose(c_t, 0.5)
     assert np.allclose(h_t, 0.5 * np.tanh(0.5))
 
 
 def test_sigmoid_matches_reference():
     z = np.linspace(-10, 10, 41)
-    assert np.allclose(m.sigmoid(z), 1.0 / (1.0 + np.exp(-z)), atol=1e-15)
+    assert np.allclose(sigmoid(z), 1.0 / (1.0 + np.exp(-z)), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
 # forward oracles
 
 
-def scalar_loop_forward(x, p):
-    """Reference implementation: per-step cell_forward loop, no batching."""
-    T = len(x)
-    H = p.hidden
-    h1 = np.zeros(H)
-    c1 = np.zeros(H)
-    h2 = np.zeros(H)
-    c2 = np.zeros(H)
-    for t in range(T):
-        h1, c1, _ = m.cell_forward(x[t], h1, c1, p.layer1)
-        h2, c2, _ = m.cell_forward(h1, h2, c2, p.layer2)
-    return p.head_w @ h2 + p.head_b
-
-
 def test_forward_matches_scalar_loop_oracle():
-    for seed in range(5):
-        params, x, _ = random_case(seed, T=11)
+    # T=151 is the 1250 ms stream window, the longest recurrence served.
+    for seed, T, hidden in [(s, 11, 5) for s in range(5)] + [(8, 151, 40)]:
+        params, x, _ = random_case(seed, T=T, hidden=hidden)
         got, _ = m.forward(x, params)
         want = scalar_loop_forward(x, params)
         assert np.max(np.abs(got - want)) < 1e-12
@@ -200,6 +193,26 @@ def test_backward_batch_is_mean_of_sample_gradients():
         )
         got = dict(m.named_arrays(grads_b))[name]
         assert np.max(np.abs(got - mean_grad)) < 1e-12
+
+
+def max_rel_diff(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest absolute difference relative to the largest reference entry."""
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+@pytest.mark.parametrize("T,B", [(32, 1), (151, 1), (80, 30)])
+def test_backward_batch_matches_per_step_reference(T, B):
+    # The shapes that occur: 260 ms and 1250 ms stream windows at B=1, and a
+    # training batch. Only summation order differs from the reference.
+    params = m.init_params(T + B, hidden=40)
+    rng = Rng(derive_seed(T, B))
+    xs = rng.normals(T * B * 6, 0.0, 1.0).reshape(T, B, 6)
+    ys = rng.normals(B * 70, 0.0, 1.0).reshape(B, 70)
+    loss, grads = m.backward_batch(xs, ys, params)
+    ref_loss, ref_grads = reference_backward_batch(xs, ys, params)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    for (name, got), (_, want) in zip(m.named_arrays(grads), m.named_arrays(ref_grads)):
+        assert max_rel_diff(got, want) < 1e-12, name
 
 
 def test_loss_invariant_under_batch_permutation():
