@@ -3,7 +3,8 @@
 Owns every on-disk format (dataset CSV via the dataset module, checkpoint
 JSON, loss-history CSV, metrics JSON, comparison CSV, forecast CSV) and the
 line-delimited streaming protocol. Exit codes: 0 success, 1 usage error,
-2 data error, 3 internal invariant failure.
+2 data error, 3 internal error (an invariant failure or any other unexpected
+exception, reported on one stderr line without a traceback).
 """
 
 from __future__ import annotations
@@ -324,7 +325,7 @@ def _load_train_config(path: str | None) -> TrainConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"config {path} must be a JSON object")
@@ -563,4 +564,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except ContractViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a bug, not bad input: report it without a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

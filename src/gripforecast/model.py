@@ -222,7 +222,11 @@ def _layer_forward(xs: np.ndarray, p: LstmLayerParams) -> tuple[np.ndarray, _Lay
 def _layer_backward(
     dhs: np.ndarray, cache: _LayerCache, p: LstmLayerParams
 ) -> tuple[np.ndarray, LstmLayerParams]:
-    """BPTT through one layer given per-step dL/dh; returns dL/dx per step.
+    """BPTT through one layer given dL/dh; returns dL/dx per step.
+
+    dhs holds dL/dh for the last len(dhs) of the T steps (all T for a layer
+    whose outputs feed another layer, one for the top layer under the head);
+    earlier steps get their dL/dh only through the recurrence.
 
     Consumes the cache: once step t has read its gates, dL/dz for that step
     is written over cache.gates[t], and cache.cs[t] is replaced by its tanh.
@@ -230,25 +234,26 @@ def _layer_backward(
     dW_hh, db and dL/dx are then single GEMMs or reductions over the
     (T*B, 4H) block of dL/dz. No (T, B, *) array is allocated beyond dL/dx.
     """
-    t_steps, batch, h = dhs.shape
     gates, cs, hs, xs = cache.gates, cache.cs, cache.hs, cache.xs
+    t_steps, batch, h = hs.shape
     # d(activation)/dz = y * (alpha - y) + gamma: y(1 - y) on the sigmoid
     # gates, 1 - y^2 on g.
     alpha, gamma = _per_gate(h, 1.0, 0.0), _per_gate(h, 0.0, 1.0)
-    dh = np.empty((batch, h))
+    dh = np.zeros((batch, h))  # dL/dh_t: dz_{t+1} @ W_hh, plus dhs where given
     dc = np.zeros((batch, h))  # dL/dc_t, then carried to step t - 1
     tmp = np.empty((batch, h))
     dact = np.empty((batch, 4 * h))
     up = np.empty((batch, 4 * h))  # dL/d(activation) over the i|f|g|o block
     up_i, up_f, up_g, up_o = (up[:, k * h : (k + 1) * h] for k in range(4))
-    dh_rec = np.zeros((batch, h))
     rev = gates[::-1]
     per_gate = (rev[:, :, k * h : (k + 1) * h] for k in range(4))
     c_prevs = [*cs[-2::-1], None]
+    given = [*dhs[::-1], *[None] * (t_steps - len(dhs))]
     for y, i, f, g, o, c_t, c_prev, dh_t in zip(rev, *per_gate, cs[::-1], c_prevs,
-                                                dhs[::-1]):
+                                                given):
         tanh_c = np.tanh(c_t, out=c_t)  # c_t was last read as c_prev one step ago
-        np.add(dh_t, dh_rec, out=dh)
+        if dh_t is not None:
+            dh += dh_t
         np.multiply(dh, tanh_c, out=up_o)
         np.multiply(tanh_c, tanh_c, out=tmp)
         np.subtract(1.0, tmp, out=tmp)
@@ -266,7 +271,7 @@ def _layer_backward(
         dact *= y
         dact += gamma
         np.multiply(up, dact, out=y)  # y now holds dL/dz_t
-        np.matmul(y, p.w_hh, out=dh_rec)
+        np.matmul(y, p.w_hh, out=dh)
 
     dz = gates.reshape(t_steps * batch, 4 * h)
     dxs = np.empty(xs.shape)
@@ -275,6 +280,11 @@ def _layer_backward(
     dw_hh = dz[batch:].T @ hs[:-1].reshape((t_steps - 1) * batch, h)
     db = dz.sum(axis=0)
     return dxs, LstmLayerParams(w_ih=dw_ih, w_hh=dw_hh, b=db)
+
+
+def head(h: np.ndarray, p: ModelParams) -> np.ndarray:
+    """The affine head: (B, H) top-layer hidden states to (B, 70) forecasts."""
+    return h @ p.head_w.T + p.head_b
 
 
 def forward_batch(
@@ -289,8 +299,7 @@ def forward_batch(
         )
     hs1, cache1 = _layer_forward(xs, p.layer1)
     hs2, cache2 = _layer_forward(hs1, p.layer2)
-    y = hs2[-1] @ p.head_w.T + p.head_b
-    return y, (cache1, cache2)
+    return head(hs2[-1], p), (cache1, cache2)
 
 
 def backward_batch(
@@ -315,11 +324,9 @@ def backward_batch(
     dy = (2.0 / (p.horizon * batch)) * residual  # (B, 70)
     head_w_grad = dy.T @ cache2.hs[-1]
     head_b_grad = dy.sum(axis=0)
-    dh_last = dy @ p.head_w
+    dh_last = dy @ p.head_w  # (B, H): the only step whose h the head reads
 
-    dhs2 = np.zeros_like(cache2.hs)
-    dhs2[-1] = dh_last
-    dxs2, l2_grads = _layer_backward(dhs2, cache2, p.layer2)
+    dxs2, l2_grads = _layer_backward(dh_last[None], cache2, p.layer2)
     _, l1_grads = _layer_backward(dxs2, cache1, p.layer1)
     grads = Gradients(layer1=l1_grads, layer2=l2_grads,
                       head_w=head_w_grad, head_b=head_b_grad)

@@ -8,6 +8,7 @@ never need padding and batch gradients stay exact sample means.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,17 @@ class TrainConfig:
     clip_threshold: float | None = None
 
     def validate(self) -> None:
+        for name in ("batch_size", "epochs", "seed", "hidden"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ContractViolation(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "adam_beta1", "adam_beta2", "adam_eps", "clip_threshold"):
+            value = getattr(self, name)
+            if name == "clip_threshold" and value is None:
+                continue
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ContractViolation(f"{name} must be a finite number, got {value!r}")
         if self.learning_rate <= 0:
             raise ContractViolation(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.batch_size < 1:
@@ -170,20 +182,61 @@ def _stack_batch(samples: list[TrainingSample], idxs: list[int]) -> tuple[np.nda
     return xs, ys
 
 
+def _forecasts(
+    params: m.ModelParams, samples: list[TrainingSample], norm: NormStats | None = None
+) -> np.ndarray:
+    """Normalized 70-step forecast of every window, (N, 70) in input order.
+
+    The LSTM starts from zero state at t_o, so a window whose x is a prefix
+    of a longer window's x ends on a hidden state that the longer window's
+    pass already computes. Longest first, each window joins the first root
+    of its (pair_id, handover_id, t_o_ms) group that it is a prefix of
+    (np.array_equal decides; the key only narrows the search) or becomes a
+    root itself. Roots run as one forward_batch per exact length, and each
+    window reads the top layer's hidden state at its own last step. With
+    `norm`, the x windows are raw and are z-scored here.
+    """
+    order = sorted(range(len(samples)), key=lambda i: -len(samples[i].x))
+    root_of = [0] * len(samples)  # sample index of the window whose pass serves i
+    groups: dict[tuple[str, str, float], list[int]] = {}
+    for i in order:
+        s = samples[i]
+        roots = groups.setdefault((s.pair_id, s.handover_id, s.t_o_ms), [])
+        root = next((r for r in roots if np.array_equal(samples[r].x[: len(s.x)], s.x)), i)
+        if root == i:
+            roots.append(i)
+        root_of[i] = root
+
+    by_len: dict[int, list[int]] = {}
+    for i, root in enumerate(root_of):
+        by_len.setdefault(len(samples[root].x), []).append(i)
+    out = np.empty((len(samples), params.horizon))
+    for members in by_len.values():
+        col = {root: c for c, root in enumerate(dict.fromkeys(root_of[i] for i in members))}
+        xs = np.stack([samples[root].x for root in col], axis=1)  # (T, roots, 6)
+        if norm is not None:
+            xs = normalize_wrench(xs, norm)
+        _, (_, top) = m.forward_batch(xs, params)
+        last = [len(samples[i].x) - 1 for i in members]
+        out[members] = m.head(top.hs[last, [col[root_of[i]] for i in members]], params)
+    return out
+
+
 def _mean_loss(params: m.ModelParams, samples: list[TrainingSample]) -> float:
-    """Mean per-sample MSE over a normalized sample list (forward only)."""
+    """Mean per-sample MSE over a normalized sample list (forward only).
+
+    Nested windows of one handover and t_o share one recurrent pass
+    (see _forecasts).
+    """
     if not samples:
         return float("nan")
-    buckets: dict[int, list[int]] = {}
-    for idx, s in enumerate(samples):
-        buckets.setdefault(len(s.x), []).append(idx)
+    r = _forecasts(params, samples) - np.stack([s.y for s in samples])
+    per_sample = np.mean(r * r, axis=1)
+    lengths = np.array([len(s.x) for s in samples])
+    # Summed per window length, shortest first, so loss_history.csv keeps its bytes.
     total = 0.0
-    for n in sorted(buckets):
-        idxs = buckets[n]
-        xs, ys = _stack_batch(samples, idxs)
-        y_hat, _ = m.forward_batch(xs, params)
-        r = y_hat - ys
-        total += float(np.sum(np.mean(r * r, axis=1)))
+    for n in np.unique(lengths):
+        total += float(np.sum(per_sample[lengths == n]))
     return total / len(samples)
 
 
@@ -250,7 +303,8 @@ def evaluate(params: m.ModelParams, samples: list[TrainingSample]) -> EvalMetric
     Reports the mean MSE in normalized units, the mean MSE in N^2, and the
     mean absolute error of the final horizon step in newtons (how well the
     forecast lands at zero grip). Per-sample trajectories are returned for
-    export.
+    export, in input order. Nested windows of one handover and t_o share one
+    recurrent pass (see _forecasts).
     """
     if not samples:
         raise ContractViolation("evaluate needs a non-empty sample list")
@@ -258,35 +312,14 @@ def evaluate(params: m.ModelParams, samples: list[TrainingSample]) -> EvalMetric
         raise ContractViolation("model has no normalization stats attached")
     stats = params.norm
 
-    mse_norm_total = 0.0
-    mse_n2_total = 0.0
-    final_mae_total = 0.0
-    slots: list[SampleResult | None] = [None] * len(samples)
-
-    buckets: dict[int, list[int]] = {}
-    for idx, s in enumerate(samples):
-        buckets.setdefault(len(s.x), []).append(idx)
-    for n in sorted(buckets):
-        idxs = buckets[n]
-        xs = np.stack([normalize_wrench(samples[i].x, stats) for i in idxs], axis=1)
-        y_hat_norm, _ = m.forward_batch(xs, params)
-        for row, i in enumerate(idxs):
-            s = samples[i]
-            y_norm = normalize_grip(s.y, stats)
-            r_norm = y_hat_norm[row] - y_norm
-            mse_norm_total += float(np.mean(r_norm * r_norm))
-            pred_n = denormalize_grip(y_hat_norm[row], stats)
-            r_n = pred_n - s.y
-            mse_n2_total += float(np.mean(r_n * r_n))
-            final_mae_total += abs(float(pred_n[-1] - s.y[-1]))
-            slots[i] = SampleResult(sample=s, predicted_N=pred_n, actual_N=s.y.copy())
-
-    results = [r for r in slots if r is not None]
-    count = len(samples)
+    y_hat_norm = _forecasts(params, samples, stats)
+    actual = np.stack([s.y for s in samples])  # (N, 70) newtons
+    predicted = denormalize_grip(y_hat_norm, stats)
     return EvalMetrics(
-        mse_norm=mse_norm_total / count,
-        mse_N2=mse_n2_total / count,
-        final_step_mae_N=final_mae_total / count,
-        n_samples=count,
-        results=results,
+        mse_norm=float(np.mean((y_hat_norm - normalize_grip(actual, stats)) ** 2)),
+        mse_N2=float(np.mean((predicted - actual) ** 2)),
+        final_step_mae_N=float(np.mean(np.abs(predicted[:, -1] - actual[:, -1]))),
+        n_samples=len(samples),
+        results=[SampleResult(sample=s, predicted_N=pred, actual_N=act)
+                 for s, pred, act in zip(samples, predicted, actual)],
     )

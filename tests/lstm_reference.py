@@ -135,3 +135,20 @@ def reference_backward_batch(
     _, l1_grads = reference_layer_backward(dxs2, cache1, p.layer1)
     return loss, m.Gradients(layer1=l1_grads, layer2=l2_grads,
                              head_w=dy.T @ hs2[-1], head_b=dy.sum(axis=0))
+
+
+def bucketed_forecasts(xs: list[np.ndarray], p: m.ModelParams) -> np.ndarray:
+    """Normalized forecasts of (T_i, 6) windows, (N, 70) in input order.
+
+    Every window runs its own full pass through the reference layers,
+    batched only with windows of exactly its length; no pass is shared.
+    """
+    buckets: dict[int, list[int]] = {}
+    for i, x in enumerate(xs):
+        buckets.setdefault(len(x), []).append(i)
+    out = np.empty((len(xs), p.horizon))
+    for idxs in buckets.values():
+        hs1, _ = reference_layer_forward(np.stack([xs[i] for i in idxs], axis=1), p.layer1)
+        hs2, _ = reference_layer_forward(hs1, p.layer2)
+        out[idxs] = hs2[-1] @ p.head_w.T + p.head_b
+    return out

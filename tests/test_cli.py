@@ -163,6 +163,42 @@ def test_train_config_unknown_key_is_data_error(run, tmp_path, capsys):
     assert "nonsense" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,field", [
+    (b'{"epochs": "10"}', "epochs"),
+    (b'{"epochs": 2.5}', "epochs"),
+    (b'{"batch_size": true}', "batch_size"),
+    (b'{"clip_threshold": -1}', "clip_threshold"),
+    (b'\xff\xfe{"epochs": 1}', "not valid JSON"),
+])
+def test_train_config_wrong_type_is_data_error(run, tmp_path, capsys, text, field):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    rc = cli.main(
+        [
+            "train",
+            "--data", str(run.data),
+            "--test-pairs", "3",
+            "--config", str(bad),
+            "--out", str(tmp_path / "o"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DATA
+    assert field in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(cli, "generate_dataset", broken)
+    rc = cli.main(["synth", "--pairs", "1", "--per-pair", "1", "--out", str(tmp_path / "d.csv")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_INTERNAL
+    assert err == "internal error: RuntimeError: synthetic failure\n"
+
+
 # ---------------------------------------------------------------------------
 # eval
 

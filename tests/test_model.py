@@ -215,6 +215,27 @@ def test_backward_batch_matches_per_step_reference(T, B):
         assert max_rel_diff(got, want) < 1e-12, name
 
 
+@pytest.mark.parametrize("given", [1, 4])
+def test_layer_backward_trailing_dhs_equals_zero_padded(given):
+    # backward_batch hands the top layer dL/dh for its last step only. A
+    # dhs that covers the last `given` steps must give the same bits as a
+    # full (T, B, H) dhs that is zero before them.
+    p = m.init_params(4, hidden=8).layer1
+    rng = Rng(derive_seed(4, given))
+    xs = rng.normals(12 * 3 * 6, 0.0, 1.0).reshape(12, 3, 6)
+    trailing = rng.normals(given * 3 * 8, 0.0, 1.0).reshape(given, 3, 8)
+    padded = np.zeros((12, 3, 8))
+    padded[-given:] = trailing
+    results = []
+    for dhs in (padded, trailing):
+        _, cache = m._layer_forward(xs, p)  # each backward consumes its cache
+        results.append(m._layer_backward(dhs, cache, p))
+    (dxs_a, grads_a), (dxs_b, grads_b) = results
+    assert np.array_equal(dxs_a, dxs_b)
+    for name in ("w_ih", "w_hh", "b"):
+        assert np.array_equal(getattr(grads_a, name), getattr(grads_b, name)), name
+
+
 def test_loss_invariant_under_batch_permutation():
     params, _, _ = random_case(0, T=6)
     rng = Rng(56)

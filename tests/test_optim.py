@@ -1,14 +1,27 @@
 """Tests for Adam, the batching scheme, the training loop, and evaluation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gripforecast import model as m
 from gripforecast import optim
-from gripforecast.dataset import NormStats, TrainingSample, apply_norm, fit_norm_stats
+from gripforecast.dataset import (
+    NormStats,
+    TrainingSample,
+    align_handover,
+    apply_norm,
+    denormalize_grip,
+    extract_samples,
+    fit_norm_stats,
+    normalize_wrench,
+)
 from gripforecast.errors import ContractViolation
 from gripforecast.numerics import Rng
 from gripforecast.optim import AdamState, TrainConfig, adam_step, batch_indices, train
+from gripforecast.synthgen import generate_dataset
+from lstm_reference import bucketed_forecasts
 
 
 def scalar_model(theta: float) -> m.ModelParams:
@@ -119,6 +132,7 @@ def test_adam_shape_mismatch_rejected():
 
 def test_train_config_validation():
     TrainConfig().validate()
+    TrainConfig(learning_rate=1, clip_threshold=2).validate()  # ints are numbers
     with pytest.raises(ContractViolation):
         TrainConfig(epochs=0).validate()
     with pytest.raises(ContractViolation):
@@ -127,6 +141,17 @@ def test_train_config_validation():
         TrainConfig(batch_size=0).validate()
     with pytest.raises(ContractViolation):
         TrainConfig(adam_beta1=1.0).validate()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epochs", "10"), ("epochs", 2.5), ("batch_size", True), ("seed", None),
+    ("hidden", 40.0), ("learning_rate", True), ("learning_rate", "5e-4"),
+    ("learning_rate", float("nan")), ("adam_eps", float("inf")), ("adam_beta1", None),
+    ("clip_threshold", "1"), ("clip_threshold", False),
+])
+def test_train_config_rejects_wrong_types(field, value):
+    with pytest.raises(ContractViolation, match=field):
+        replace(TrainConfig(), **{field: value}).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -315,3 +340,76 @@ def test_evaluate_on_overfit_training_data_equals_train_loss():
     # history's test entry is computed after the epoch's updates, same as a
     # fresh evaluate on the same (training) data
     assert metrics.mse_norm == pytest.approx(hist.test[-1], abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# shared-prefix forward (evaluate and the per-epoch test loss)
+
+
+@pytest.fixture(scope="module")
+def handovers():
+    """Default-policy windows (30 each) of two synthetic handovers, and a model."""
+    records = [align_handover(r) for r in generate_dataset(1, 2, 3)]
+    raw = [s for r in records for s in extract_samples(r)]
+    params = m.with_norm(m.init_params(1, hidden=6), fit_norm_stats(raw))
+    return raw, params
+
+
+def _not_a_prefix(raw):
+    # Shares (pair, handover, t_o) with a t_e=0 root, but its first step differs.
+    s = next(s for s in raw if s.t_e_ms == -50.0)
+    x = s.x.copy()
+    x[0] += 1.0
+    return raw + [replace(s, x=x)]
+
+
+SAMPLE_LISTS = {
+    "default_policy": lambda raw: raw,
+    "shuffled": lambda raw: [raw[i] for i in Rng(4).permutation(len(raw))],
+    "longest_missing": lambda raw: [s for s in raw if not (
+        s.t_e_ms == 0.0 and s.handover_id == raw[0].handover_id)],
+    "not_a_prefix": _not_a_prefix,
+    "duplicates": lambda raw: raw + raw[:7],
+    "single": lambda raw: [raw[10]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_LISTS))
+def test_forward_passes_match_per_length_reference(handovers, case):
+    raw, params = handovers
+    samples = SAMPLE_LISTS[case](raw)
+    norm = params.norm
+    ref = bucketed_forecasts([normalize_wrench(s.x, norm) for s in samples], params)
+
+    metrics = optim.evaluate(params, samples)
+    assert all(r.sample is s for r, s in zip(metrics.results, samples, strict=True))
+    got = np.stack([r.predicted_N for r in metrics.results])
+    want = denormalize_grip(ref, norm)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    normed = [apply_norm(s, norm) for s in samples]
+    ys = np.stack([s.y for s in normed])
+    ref_loss = float(np.mean(np.mean((ref - ys) ** 2, axis=1)))
+    assert optim._mean_loss(params, normed) == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+    assert metrics.mse_norm == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+
+
+def test_one_handover_runs_459_recurrent_steps(handovers, monkeypatch):
+    # Default policy: 30 windows, 5 t_o values x 6 t_e values. The five t_e=0
+    # windows (32, 62, 92, 122 and 151 steps) hold the other 25 as prefixes.
+    raw, params = handovers
+    one = [s for s in raw if s.handover_id == raw[0].handover_id]
+    assert len(one) == 30 and sum(len(s.x) for s in one) == 2304
+    steps = []
+    real = m.forward_batch
+
+    def counting(xs, p):
+        steps.append(xs.shape[0])
+        return real(xs, p)
+
+    monkeypatch.setattr(m, "forward_batch", counting)
+    optim.evaluate(params, one)
+    assert sorted(steps) == [32, 62, 92, 122, 151] and sum(steps) == 459
+    steps.clear()
+    optim._mean_loss(params, [apply_norm(s, params.norm) for s in one])
+    assert sum(steps) == 459
