@@ -34,7 +34,6 @@ from .errors import (
 )
 from .model import (
     GATE_ORDER,
-    Gradients,
     LstmLayerParams,
     ModelParams,
     backward,
@@ -70,7 +69,6 @@ __all__ = [
     "DataError",
     "EvalMetrics",
     "GenerationError",
-    "Gradients",
     "HandoverRecord",
     "LoadError",
     "LossHistory",

@@ -115,9 +115,9 @@ def save_checkpoint(path: str | Path, params: m.ModelParams, cfg: TrainConfig) -
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "gate_order": m.GATE_ORDER,
-        "hidden": params.layer1.hidden,
-        "input_dim": params.layer1.input_dim,
-        "horizon": params.horizon,
+        "hidden": params.hidden,
+        "input_dim": m.INPUT_DIM,
+        "horizon": HORIZON,
         "weights": weights,
         "norm": {
             "wrench_mean": [float(v) for v in params.norm.wrench_mean],
@@ -199,8 +199,8 @@ def load_checkpoint(path: str | Path) -> tuple[m.ModelParams, dict]:
     weights = doc.get("weights")
     if not isinstance(weights, dict):
         raise DataError(f"checkpoint {path} has no 'weights' object")
-    arrays = {}
-    for name, shape in m.param_shapes(hidden, input_dim).items():
+    arrays = []
+    for name, shape, _ in m.layout(hidden):
         entry = weights.get(name)
         if not isinstance(entry, dict):
             raise DataError(f"checkpoint {path} is missing weight {name!r}")
@@ -209,9 +209,8 @@ def load_checkpoint(path: str | Path) -> tuple[m.ModelParams, dict]:
                 f"checkpoint {path}: weight {name!r} declares shape "
                 f"{entry.get('shape')!r}, expected {list(shape)}"
             )
-        data = _checkpoint_array(path, f"weight {name!r}", entry.get("data"),
-                                 (math.prod(shape),))
-        arrays[name] = data.reshape(shape)
+        arrays.append(_checkpoint_array(path, f"weight {name!r}", entry.get("data"),
+                                        (math.prod(shape),)))
 
     norm_doc = doc.get("norm")
     if not isinstance(norm_doc, dict):
@@ -230,7 +229,7 @@ def load_checkpoint(path: str | Path) -> tuple[m.ModelParams, dict]:
         raise DataError(
             f"checkpoint {path}: normalization standard deviations must be > 0"
         )
-    return m.params_from_arrays(arrays, norm=norm), doc
+    return m.ModelParams(np.concatenate(arrays), hidden, norm), doc
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +352,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_samples = [apply_norm(s, norm) for s in train_raw]
     test_samples = [apply_norm(s, norm) for s in test_raw]
 
-    params, history = train(train_samples, test_samples, cfg, norm)
+    with np.errstate(over="ignore", invalid="ignore"):  # train() names a divergence itself
+        params, history = train(train_samples, test_samples, cfg, norm)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -68,7 +68,6 @@ class HandoverRecord:
     wrench: np.ndarray  # (T, 6) columns in WRENCH_COLUMNS order
     grip_giver: np.ndarray  # (T,)
     grip_taker: np.ndarray  # (T,)
-    rate_hz: float = RATE_HZ
     aligned: bool = False
 
     def __len__(self) -> int:
@@ -84,8 +83,6 @@ class HandoverRecord:
             )
         if len(self.grip_giver) != n or len(self.grip_taker) != n:
             raise ContractViolation("grip series length mismatch")
-        if self.rate_hz != RATE_HZ:
-            raise ContractViolation(f"rate must be {RATE_HZ} Hz, got {self.rate_hz}")
         if n > 1:
             dt = np.diff(self.t_ms)
             if np.any(np.abs(dt - PERIOD_MS) > _SPACING_TOL * PERIOD_MS):

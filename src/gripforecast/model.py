@@ -15,7 +15,8 @@ gradients and dL/dx run as single GEMMs over all T*B rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,86 +40,73 @@ class LstmLayerParams:
     def hidden(self) -> int:
         return self.w_hh.shape[1]
 
-    @property
-    def input_dim(self) -> int:
-        return self.w_ih.shape[1]
+
+def layout(hidden: int) -> list[tuple[str, tuple[int, ...], int]]:
+    """(name, shape, offset) of every weight array in the flat vector.
+
+    The order is fixed: it is the order of named_arrays(), of the checkpoint's
+    weight keys, and of init_params' draws (the 2-d arrays).
+    """
+    g = 4 * hidden
+    table, offset = [], 0
+    for name, shape in (
+        ("layer1.w_ih", (g, INPUT_DIM)),
+        ("layer1.w_hh", (g, hidden)),
+        ("layer1.b", (g,)),
+        ("layer2.w_ih", (g, hidden)),
+        ("layer2.w_hh", (g, hidden)),
+        ("layer2.b", (g,)),
+        ("head_w", (HORIZON, hidden)),
+        ("head_b", (HORIZON,)),
+    ):
+        table.append((name, shape, offset))
+        offset += math.prod(shape)
+    return table
+
+
+def n_weights(hidden: int) -> int:
+    """Length of the flat vector: 23,350 at hidden 40."""
+    _, shape, offset = layout(hidden)[-1]
+    return offset + math.prod(shape)
+
+
+def named_arrays(p: ModelParams) -> list[tuple[str, np.ndarray]]:
+    """(name, view) pairs over p.flat in layout order; views, never copies."""
+    return [(name, p.flat[offset : offset + math.prod(shape)].reshape(shape))
+            for name, shape, offset in layout(p.hidden)]
 
 
 @dataclass
 class ModelParams:
-    layer1: LstmLayerParams  # D_in = 6
-    layer2: LstmLayerParams  # D_in = hidden
-    head_w: np.ndarray  # (70, H)
-    head_b: np.ndarray  # (70,)
+    """Every weight in one float64 vector, laid out by layout(hidden).
+
+    layer1 (D_in = 6), layer2 (D_in = hidden), head_w (70, H) and head_b (70,)
+    are views into `flat`, so a write through a view shows in the vector and
+    the reverse. Gradients are the same type over their own vector.
+    """
+
+    flat: np.ndarray
+    hidden: int
     norm: NormStats | None = None
-    horizon: int = HORIZON
+    layer1: LstmLayerParams = field(init=False, repr=False, compare=False)
+    layer2: LstmLayerParams = field(init=False, repr=False, compare=False)
+    head_w: np.ndarray = field(init=False, repr=False, compare=False)
+    head_b: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def hidden(self) -> int:
-        return self.layer1.hidden
-
-
-@dataclass
-class Gradients:
-    """Loss derivatives, shape-congruent with ModelParams' weight fields."""
-
-    layer1: LstmLayerParams
-    layer2: LstmLayerParams
-    head_w: np.ndarray
-    head_b: np.ndarray
-
-
-def named_arrays(obj: ModelParams | Gradients) -> list[tuple[str, np.ndarray]]:
-    """Fixed-order (name, array) view used by the optimizer and checkpoints."""
-    return [
-        ("layer1.w_ih", obj.layer1.w_ih),
-        ("layer1.w_hh", obj.layer1.w_hh),
-        ("layer1.b", obj.layer1.b),
-        ("layer2.w_ih", obj.layer2.w_ih),
-        ("layer2.w_hh", obj.layer2.w_hh),
-        ("layer2.b", obj.layer2.b),
-        ("head_w", obj.head_w),
-        ("head_b", obj.head_b),
-    ]
+    def __post_init__(self) -> None:
+        n = n_weights(self.hidden)
+        if self.flat.dtype != np.float64 or self.flat.shape != (n,):
+            raise ContractViolation(
+                f"hidden {self.hidden} needs a float64 vector of {n} weights, "
+                f"got {self.flat.dtype} of shape {self.flat.shape}"
+            )
+        v = dict(named_arrays(self))
+        self.layer1 = LstmLayerParams(v["layer1.w_ih"], v["layer1.w_hh"], v["layer1.b"])
+        self.layer2 = LstmLayerParams(v["layer2.w_ih"], v["layer2.w_hh"], v["layer2.b"])
+        self.head_w, self.head_b = v["head_w"], v["head_b"]
 
 
-def param_shapes(
-    hidden: int, input_dim: int = INPUT_DIM, horizon: int = HORIZON
-) -> dict[str, tuple[int, ...]]:
-    """Weight shapes by name, in the fixed order of named_arrays()."""
-    return {
-        "layer1.w_ih": (4 * hidden, input_dim),
-        "layer1.w_hh": (4 * hidden, hidden),
-        "layer1.b": (4 * hidden,),
-        "layer2.w_ih": (4 * hidden, hidden),
-        "layer2.w_hh": (4 * hidden, hidden),
-        "layer2.b": (4 * hidden,),
-        "head_w": (horizon, hidden),
-        "head_b": (horizon,),
-    }
-
-
-def params_from_arrays(
-    arrays: dict[str, np.ndarray], norm: NormStats | None = None,
-    horizon: int = HORIZON,
-) -> ModelParams:
-    """Assemble ModelParams from arrays keyed by the names of param_shapes()."""
-    def layer(prefix: str) -> LstmLayerParams:
-        return LstmLayerParams(w_ih=arrays[f"{prefix}.w_ih"],
-                               w_hh=arrays[f"{prefix}.w_hh"],
-                               b=arrays[f"{prefix}.b"])
-
-    return ModelParams(layer1=layer("layer1"), layer2=layer("layer2"),
-                       head_w=arrays["head_w"], head_b=arrays["head_b"],
-                       norm=norm, horizon=horizon)
-
-
-def init_params(
-    seed: int,
-    hidden: int = 40,
-    input_dim: int = INPUT_DIM,
-    horizon: int = HORIZON,
-) -> ModelParams:
+def init_params(seed: int, hidden: int = 40) -> ModelParams:
     """Seeded initialization: weights ~ U(-1/sqrt(H), 1/sqrt(H)).
 
     Biases start at zero except the forget gate slice, which starts at +1 so
@@ -130,32 +118,13 @@ def init_params(
         raise ContractViolation(f"hidden must be >= 1, got {hidden}")
     rng = Rng(seed)
     bound = 1.0 / np.sqrt(hidden)
-    arrays = {}
-    for name, shape in param_shapes(hidden, input_dim, horizon).items():
-        if len(shape) == 2:
-            arrays[name] = rng.uniform_matrix(*shape, -bound, bound)
-        else:
-            arrays[name] = np.zeros(shape)
-    arrays["layer1.b"][hidden : 2 * hidden] = 1.0
-    arrays["layer2.b"][hidden : 2 * hidden] = 1.0
-    return params_from_arrays(arrays, horizon=horizon)
-
-
-def zero_gradients(p: ModelParams) -> Gradients:
-    return Gradients(
-        layer1=LstmLayerParams(
-            w_ih=np.zeros_like(p.layer1.w_ih),
-            w_hh=np.zeros_like(p.layer1.w_hh),
-            b=np.zeros_like(p.layer1.b),
-        ),
-        layer2=LstmLayerParams(
-            w_ih=np.zeros_like(p.layer2.w_ih),
-            w_hh=np.zeros_like(p.layer2.w_hh),
-            b=np.zeros_like(p.layer2.b),
-        ),
-        head_w=np.zeros_like(p.head_w),
-        head_b=np.zeros_like(p.head_b),
-    )
+    p = ModelParams(np.zeros(n_weights(hidden)), hidden)
+    for _, arr in named_arrays(p):
+        if arr.ndim == 2:
+            arr[:] = rng.uniform_matrix(*arr.shape, -bound, bound)
+    p.layer1.b[hidden : 2 * hidden] = 1.0
+    p.layer2.b[hidden : 2 * hidden] = 1.0
+    return p
 
 
 class _LayerCache:
@@ -220,8 +189,8 @@ def _layer_forward(xs: np.ndarray, p: LstmLayerParams) -> tuple[np.ndarray, _Lay
 
 
 def _layer_backward(
-    dhs: np.ndarray, cache: _LayerCache, p: LstmLayerParams
-) -> tuple[np.ndarray, LstmLayerParams]:
+    dhs: np.ndarray, cache: _LayerCache, p: LstmLayerParams, grads: LstmLayerParams
+) -> np.ndarray:
     """BPTT through one layer given dL/dh; returns dL/dx per step.
 
     dhs holds dL/dh for the last len(dhs) of the T steps (all T for a layer
@@ -232,7 +201,8 @@ def _layer_backward(
     is written over cache.gates[t], and cache.cs[t] is replaced by its tanh.
     Only dz_t @ W_hh and the element-wise work stay in the time loop; dW_ih,
     dW_hh, db and dL/dx are then single GEMMs or reductions over the
-    (T*B, 4H) block of dL/dz. No (T, B, *) array is allocated beyond dL/dx.
+    (T*B, 4H) block of dL/dz, the first three written into `grads`. No
+    (T, B, *) array is allocated beyond dL/dx.
     """
     gates, cs, hs, xs = cache.gates, cache.cs, cache.hs, cache.xs
     t_steps, batch, h = hs.shape
@@ -276,10 +246,10 @@ def _layer_backward(
     dz = gates.reshape(t_steps * batch, 4 * h)
     dxs = np.empty(xs.shape)
     np.matmul(dz, p.w_ih, out=dxs.reshape(t_steps * batch, -1))
-    dw_ih = dz.T @ xs.reshape(t_steps * batch, -1)
-    dw_hh = dz[batch:].T @ hs[:-1].reshape((t_steps - 1) * batch, h)
-    db = dz.sum(axis=0)
-    return dxs, LstmLayerParams(w_ih=dw_ih, w_hh=dw_hh, b=db)
+    np.matmul(dz.T, xs.reshape(t_steps * batch, -1), out=grads.w_ih)
+    np.matmul(dz[batch:].T, hs[:-1].reshape((t_steps - 1) * batch, h), out=grads.w_hh)
+    np.sum(dz, axis=0, out=grads.b)
+    return dxs
 
 
 def head(h: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -292,9 +262,9 @@ def forward_batch(
 ) -> tuple[np.ndarray, tuple[_LayerCache, _LayerCache]]:
     """Run the stacked encoder + head over a (T, B, 6) batch; y is (B, 70)."""
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 3 or xs.shape[0] < 1 or xs.shape[2] != p.layer1.input_dim:
+    if xs.ndim != 3 or xs.shape[0] < 1 or xs.shape[2] != INPUT_DIM:
         raise ContractViolation(
-            f"forward_batch expects a non-empty (T, B, {p.layer1.input_dim}) "
+            f"forward_batch expects a non-empty (T, B, {INPUT_DIM}) "
             f"input, got shape {xs.shape}"
         )
     hs1, cache1 = _layer_forward(xs, p.layer1)
@@ -304,11 +274,12 @@ def forward_batch(
 
 def backward_batch(
     xs: np.ndarray, y_true: np.ndarray, p: ModelParams
-) -> tuple[float, Gradients]:
+) -> tuple[float, ModelParams]:
     """Mean-over-batch MSE loss and its exact gradients.
 
     The loss averages over horizon steps and batch members, so the returned
-    gradients equal the mean of the per-sample gradients.
+    gradients equal the mean of the per-sample gradients. Each gradient GEMM
+    and sum writes straight into its view of one new vector.
     """
     y_true = np.asarray(y_true, dtype=np.float64)
     y_hat, (cache1, cache2) = forward_batch(xs, p)
@@ -321,15 +292,14 @@ def backward_batch(
     residual = y_hat - y_true
     loss = float(np.mean(residual * residual))
 
-    dy = (2.0 / (p.horizon * batch)) * residual  # (B, 70)
-    head_w_grad = dy.T @ cache2.hs[-1]
-    head_b_grad = dy.sum(axis=0)
+    dy = (2.0 / (HORIZON * batch)) * residual  # (B, 70)
+    grads = ModelParams(np.empty_like(p.flat), p.hidden)
+    np.matmul(dy.T, cache2.hs[-1], out=grads.head_w)
+    np.sum(dy, axis=0, out=grads.head_b)
     dh_last = dy @ p.head_w  # (B, H): the only step whose h the head reads
 
-    dxs2, l2_grads = _layer_backward(dh_last[None], cache2, p.layer2)
-    _, l1_grads = _layer_backward(dxs2, cache1, p.layer1)
-    grads = Gradients(layer1=l1_grads, layer2=l2_grads,
-                      head_w=head_w_grad, head_b=head_b_grad)
+    dxs2 = _layer_backward(dh_last[None], cache2, p.layer2, grads.layer2)
+    _layer_backward(dxs2, cache1, p.layer1, grads.layer1)
     return loss, grads
 
 
@@ -338,7 +308,7 @@ def forward(x: np.ndarray, p: ModelParams) -> tuple[np.ndarray, tuple]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ContractViolation(
-            f"forward expects a non-empty (T, {p.layer1.input_dim}) window, "
+            f"forward expects a non-empty (T, {INPUT_DIM}) window, "
             f"got shape {x.shape}"
         )
     y, caches = forward_batch(x[:, None, :], p)
@@ -347,17 +317,17 @@ def forward(x: np.ndarray, p: ModelParams) -> tuple[np.ndarray, tuple]:
 
 def backward(
     x: np.ndarray, y_true: np.ndarray, p: ModelParams
-) -> tuple[float, Gradients]:
+) -> tuple[float, ModelParams]:
     """Single-sample loss (1/70) * sum(residual^2) and exact BPTT gradients."""
     y_true = np.asarray(y_true, dtype=np.float64)
-    if y_true.shape != (p.horizon,):
+    if y_true.shape != (HORIZON,):
         raise ContractViolation(
-            f"y_true must have shape ({p.horizon},), got {y_true.shape}"
+            f"y_true must have shape ({HORIZON},), got {y_true.shape}"
         )
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ContractViolation(
-            f"backward expects a non-empty (T, {p.layer1.input_dim}) window, "
+            f"backward expects a non-empty (T, {INPUT_DIM}) window, "
             f"got shape {x.shape}"
         )
     return backward_batch(x[:, None, :], y_true[None, :], p)
@@ -381,26 +351,6 @@ def predict_grip(x_raw: np.ndarray, p: ModelParams) -> np.ndarray:
         raise ContractViolation("predict_grip input contains non-finite values")
     y_norm, _ = forward(normalize_wrench(x_raw, p.norm), p)
     return denormalize_grip(y_norm, p.norm)
-
-
-def copy_params(p: ModelParams) -> ModelParams:
-    """Deep copy of the weight arrays (norm stats are shared, never mutated)."""
-    return ModelParams(
-        layer1=LstmLayerParams(
-            w_ih=p.layer1.w_ih.copy(),
-            w_hh=p.layer1.w_hh.copy(),
-            b=p.layer1.b.copy(),
-        ),
-        layer2=LstmLayerParams(
-            w_ih=p.layer2.w_ih.copy(),
-            w_hh=p.layer2.w_hh.copy(),
-            b=p.layer2.b.copy(),
-        ),
-        head_w=p.head_w.copy(),
-        head_b=p.head_b.copy(),
-        norm=p.norm,
-        horizon=p.horizon,
-    )
 
 
 def with_norm(p: ModelParams, norm: NormStats) -> ModelParams:

@@ -1,9 +1,7 @@
-"""Dense linear algebra helpers and a seeded, platform-stable PRNG.
+"""A seeded, platform-stable PRNG and seed derivation.
 
-Matrices are plain numpy float64 arrays in C (row-major) order; `matmul`
-adds the shape contract on top of numpy's kernel. Randomness comes from a
-hand-rolled splitmix64 stream so that a fixed seed produces the identical
-byte sequence on every platform and numpy version.
+Randomness comes from a hand-rolled splitmix64 stream so that a fixed seed
+produces the identical byte sequence on every platform and numpy version.
 """
 
 from __future__ import annotations
@@ -14,32 +12,8 @@ import numpy as np
 
 from .errors import ContractViolation
 
-# A "Matrix" throughout the package is a 2-d, C-contiguous float64 ndarray.
-Matrix = np.ndarray
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with 64-bit accumulation; raises on shape mismatch."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ContractViolation(
-            f"matmul expects 2-d operands, got {a.ndim}-d and {b.ndim}-d"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise ContractViolation(
-            f"matmul shape mismatch: a is {a.shape[0]}x{a.shape[1]}, "
-            f"b is {b.shape[0]}x{b.shape[1]} (a.cols must equal b.rows)"
-        )
-    return a @ b
-
-
-def require_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ContractViolation(f"{name} contains non-finite values")
 
 
 def _mix64(z: int) -> int:
@@ -82,9 +56,6 @@ class Rng:
         """One double in [0, 1)."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def uniforms(self, n: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(n)], dtype=np.float64)
-
     def uniform_range(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.uniform()
 
@@ -105,7 +76,7 @@ class Rng:
                 out[i + 1] = r * math.sin(2.0 * math.pi * u2)
         return mean + std * out
 
-    def uniform_matrix(self, rows: int, cols: int, lo: float, hi: float) -> Matrix:
+    def uniform_matrix(self, rows: int, cols: int, lo: float, hi: float) -> np.ndarray:
         flat = np.array(
             [self.uniform() for _ in range(rows * cols)], dtype=np.float64
         )
@@ -118,12 +89,3 @@ class Rng:
             j = int(self.uniform() * (i + 1))
             idx[i], idx[j] = idx[j], idx[i]
         return idx
-
-    def spawn(self, stream_id: int) -> "Rng":
-        """Child generator decorrelated from this one and from other ids."""
-        return Rng(derive_seed(self._state, stream_id))
-
-
-def rng_normal(rng: Rng, n: int, mean: float, std: float) -> np.ndarray:
-    """Module-level spelling of Rng.normals (kept for symmetry with matmul)."""
-    return rng.normals(n, mean, std)

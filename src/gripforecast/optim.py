@@ -9,13 +9,14 @@ never need padding and batch gradients stay exact sample means.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import model as m
-from .dataset import NormStats, TrainingSample, denormalize_grip, normalize_grip, normalize_wrench
-from .errors import ContractViolation
+from .dataset import (HORIZON, NormStats, TrainingSample, denormalize_grip, normalize_grip,
+                      normalize_wrench)
+from .errors import ContractViolation, DataError
 from .numerics import derive_seed, Rng
 
 _EPOCH_STREAM = 0x5E9
@@ -64,20 +65,15 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators keyed by parameter name, plus step t."""
+    """First/second moment vectors in the layout of ModelParams.flat, plus step t."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def init_like(cls, params: m.ModelParams) -> "AdamState":
-        names = m.named_arrays(params)
-        return cls(
-            m={name: np.zeros_like(arr) for name, arr in names},
-            v={name: np.zeros_like(arr) for name, arr in names},
-            t=0,
-        )
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), t=0)
 
 
 @dataclass
@@ -90,66 +86,37 @@ class LossHistory:
 
 def adam_step(
     params: m.ModelParams,
-    grads: m.Gradients,
+    grads: m.ModelParams,
     state: AdamState,
     cfg: TrainConfig,
 ) -> tuple[m.ModelParams, AdamState]:
-    """One bias-corrected Adam update. Pure: inputs are left untouched.
+    """One bias-corrected Adam update over the flat vector. Pure: inputs are
+    left untouched.
 
     t is incremented first; then m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2,
     and theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
     """
-    param_arrays = dict(m.named_arrays(params))
-    grad_arrays = dict(m.named_arrays(grads))
-    for name, g in grad_arrays.items():
-        if g.shape != param_arrays[name].shape:
-            raise ContractViolation(
-                f"gradient {name} shape {g.shape} does not match parameter "
-                f"shape {param_arrays[name].shape}"
-            )
-
-    new_params = m.copy_params(params)
-    new_arrays = dict(m.named_arrays(new_params))
+    if grads.flat.shape != params.flat.shape:
+        raise ContractViolation(
+            f"gradient shape {grads.flat.shape} does not match parameter "
+            f"shape {params.flat.shape}"
+        )
     t = state.t + 1
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    bc1 = 1.0 - cfg.adam_beta1**t
-    bc2 = 1.0 - cfg.adam_beta2**t
-    for name, _ in m.named_arrays(params):
-        g = grad_arrays[name]
-        mom = cfg.adam_beta1 * state.m[name] + (1.0 - cfg.adam_beta1) * g
-        vel = cfg.adam_beta2 * state.v[name] + (1.0 - cfg.adam_beta2) * (g * g)
-        new_m[name] = mom
-        new_v[name] = vel
-        m_hat = mom / bc1
-        v_hat = vel / bc2
-        new_arrays[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-    return new_params, AdamState(m=new_m, v=new_v, t=t)
+    b1, b2, g = cfg.adam_beta1, cfg.adam_beta2, grads.flat
+    mom = b1 * state.m + (1.0 - b1) * g
+    vel = b2 * state.v + (1.0 - b2) * (g * g)
+    m_hat = mom / (1.0 - b1**t)
+    v_hat = vel / (1.0 - b2**t)
+    flat = params.flat - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    return replace(params, flat=flat), AdamState(m=mom, v=vel, t=t)
 
 
-def clip_gradients(grads: m.Gradients, threshold: float) -> m.Gradients:
-    """Global-norm clipping: scales all arrays by threshold/norm if needed."""
-    total = 0.0
-    for _, g in m.named_arrays(grads):
-        total += float(np.sum(g * g))
-    norm = np.sqrt(total)
+def clip_gradients(grads: m.ModelParams, threshold: float) -> m.ModelParams:
+    """Global-norm clipping: scales the gradient vector by threshold/norm if needed."""
+    norm = np.sqrt(np.dot(grads.flat, grads.flat))
     if norm <= threshold:
         return grads
-    scale = threshold / norm
-    return m.Gradients(
-        layer1=m.LstmLayerParams(
-            w_ih=grads.layer1.w_ih * scale,
-            w_hh=grads.layer1.w_hh * scale,
-            b=grads.layer1.b * scale,
-        ),
-        layer2=m.LstmLayerParams(
-            w_ih=grads.layer2.w_ih * scale,
-            w_hh=grads.layer2.w_hh * scale,
-            b=grads.layer2.b * scale,
-        ),
-        head_w=grads.head_w * scale,
-        head_b=grads.head_b * scale,
-    )
+    return replace(grads, flat=grads.flat * (threshold / norm))
 
 
 def batch_indices(
@@ -210,7 +177,7 @@ def _forecasts(
     by_len: dict[int, list[int]] = {}
     for i, root in enumerate(root_of):
         by_len.setdefault(len(samples[root].x), []).append(i)
-    out = np.empty((len(samples), params.horizon))
+    out = np.empty((len(samples), HORIZON))
     for members in by_len.values():
         col = {root: c for c, root in enumerate(dict.fromkeys(root_of[i] for i in members))}
         xs = np.stack([samples[root].x for root in col], axis=1)  # (T, roots, 6)
@@ -253,7 +220,9 @@ def train(
     back to newtons. Each epoch reshuffles with a generator derived only
     from (cfg.seed, epoch index), so identical inputs give byte-identical
     results. The recorded train loss is the mean over that epoch's batch
-    losses as trained; test loss is a forward pass after the epoch.
+    losses as trained; test loss is a forward pass after the epoch. A batch
+    whose loss or updated weights are not finite raises DataError naming
+    the epoch and the batch.
     """
     cfg.validate()
     if not train_samples:
@@ -267,12 +236,18 @@ def train(
     for epoch in range(cfg.epochs):
         rng = Rng(derive_seed(cfg.seed, _EPOCH_STREAM, epoch))
         epoch_loss = 0.0
-        for idxs in batch_indices(lengths, cfg.batch_size, rng):
+        for batch, idxs in enumerate(batch_indices(lengths, cfg.batch_size, rng), start=1):
             xs, ys = _stack_batch(train_samples, idxs)
             loss, grads = m.backward_batch(xs, ys, params)
             if cfg.clip_threshold is not None:
                 grads = clip_gradients(grads, cfg.clip_threshold)
             params, state = adam_step(params, grads, state, cfg)
+            if not (math.isfinite(loss) and np.isfinite(params.flat).all()):
+                raise DataError(
+                    f"training diverged at epoch {epoch + 1}, batch {batch}: the loss or "
+                    "the updated weights are not finite; lower learning_rate or set "
+                    "clip_threshold"
+                )
             epoch_loss += loss * len(idxs)
         history.train.append(epoch_loss / len(train_samples))
         history.test.append(_mean_loss(params, test_samples))

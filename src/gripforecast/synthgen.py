@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import HandoverRecord, PERIOD_MS, RATE_HZ
+from .dataset import HandoverRecord, PERIOD_MS
 from .errors import ContractViolation, GenerationError
 from .numerics import derive_seed, Rng
 
@@ -210,7 +210,6 @@ def generate_handover(params: SynthParams, pair_id: str, handover_id: str) -> Ha
         wrench=wrench,
         grip_giver=grip_giver,
         grip_taker=grip_taker,
-        rate_hz=RATE_HZ,
         aligned=False,
     )
 

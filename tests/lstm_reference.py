@@ -1,14 +1,17 @@
-"""Reference LSTM arithmetic that the tests hold the model against.
+"""Reference arithmetic that the tests hold the model and optimizer against.
 
 These are the plain per-step formulations: one cell step on vectors, and
 BPTT with every product (weight gradients included) taken inside the time
 loop. They are slow on purpose; the model hoists the non-recurrent GEMMs
-out of the loop and must agree with these up to summation order.
+out of the loop and must agree with these up to summation order. Adam and
+global-norm clipping are here array by array, keyed by parameter name; the
+optimizer runs them over the one flat vector.
 """
 
 import numpy as np
 
 from gripforecast import model as m
+from gripforecast.dataset import HORIZON
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -120,7 +123,7 @@ def reference_layer_backward(
 
 def reference_backward_batch(
     xs: np.ndarray, y_true: np.ndarray, p: m.ModelParams
-) -> tuple[float, m.Gradients]:
+) -> tuple[float, m.ModelParams]:
     """Mean-over-batch MSE loss and its gradients, from the reference layers."""
     hs1, cache1 = reference_layer_forward(xs, p.layer1)
     hs2, cache2 = reference_layer_forward(hs1, p.layer2)
@@ -128,13 +131,17 @@ def reference_backward_batch(
     batch = y_hat.shape[0]
     residual = y_hat - y_true
     loss = float(np.mean(residual * residual))
-    dy = (2.0 / (p.horizon * batch)) * residual
+    dy = (2.0 / (HORIZON * batch)) * residual
     dhs2 = np.zeros_like(hs2)
     dhs2[-1] = dy @ p.head_w
     dxs2, l2_grads = reference_layer_backward(dhs2, cache2, p.layer2)
     _, l1_grads = reference_layer_backward(dxs2, cache1, p.layer1)
-    return loss, m.Gradients(layer1=l1_grads, layer2=l2_grads,
-                             head_w=dy.T @ hs2[-1], head_b=dy.sum(axis=0))
+    grads = m.ModelParams(np.zeros_like(p.flat), p.hidden)
+    for got, want in ((grads.layer1, l1_grads), (grads.layer2, l2_grads)):
+        got.w_ih[:], got.w_hh[:], got.b[:] = want.w_ih, want.w_hh, want.b
+    grads.head_w[:] = dy.T @ hs2[-1]
+    grads.head_b[:] = dy.sum(axis=0)
+    return loss, grads
 
 
 def bucketed_forecasts(xs: list[np.ndarray], p: m.ModelParams) -> np.ndarray:
@@ -146,9 +153,48 @@ def bucketed_forecasts(xs: list[np.ndarray], p: m.ModelParams) -> np.ndarray:
     buckets: dict[int, list[int]] = {}
     for i, x in enumerate(xs):
         buckets.setdefault(len(x), []).append(i)
-    out = np.empty((len(xs), p.horizon))
+    out = np.empty((len(xs), HORIZON))
     for idxs in buckets.values():
         hs1, _ = reference_layer_forward(np.stack([xs[i] for i in idxs], axis=1), p.layer1)
         hs2, _ = reference_layer_forward(hs1, p.layer2)
         out[idxs] = hs2[-1] @ p.head_w.T + p.head_b
     return out
+
+
+def reference_adam_step(
+    arrays: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    m_state: dict[str, np.ndarray],
+    v_state: dict[str, np.ndarray],
+    t: int,
+    cfg,
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """One bias-corrected Adam step, name by name; returns new (arrays, m, v).
+
+    t is the step number after incrementing (1 on the first step).
+    """
+    new_arrays, new_m, new_v = {}, {}, {}
+    bc1 = 1.0 - cfg.adam_beta1**t
+    bc2 = 1.0 - cfg.adam_beta2**t
+    for name, theta in arrays.items():
+        g = grads[name]
+        mom = cfg.adam_beta1 * m_state[name] + (1.0 - cfg.adam_beta1) * g
+        vel = cfg.adam_beta2 * v_state[name] + (1.0 - cfg.adam_beta2) * (g * g)
+        new_m[name] = mom
+        new_v[name] = vel
+        m_hat = mom / bc1
+        v_hat = vel / bc2
+        new_arrays[name] = theta.copy()
+        new_arrays[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    return new_arrays, new_m, new_v
+
+
+def reference_clip(grads: dict[str, np.ndarray], threshold: float) -> dict[str, np.ndarray]:
+    """Global-norm clipping with the norm summed array by array."""
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    norm = np.sqrt(total)
+    if norm <= threshold:
+        return grads
+    return {name: g * (threshold / norm) for name, g in grads.items()}

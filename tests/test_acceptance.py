@@ -108,7 +108,7 @@ def test_criterion_2_adam_closed_form(capsys):
     params = m.init_params(0, hidden=1)
     for _, arr in m.named_arrays(params):
         arr[:] = 0.0
-    grads = m.zero_gradients(params)
+    grads = m.ModelParams(np.zeros_like(params.flat), params.hidden)
     dict(m.named_arrays(grads))["head_b"][:] = 1.0
     cfg = TrainConfig(hidden=1)
     state = AdamState.init_like(params)

@@ -188,6 +188,27 @@ def test_train_config_wrong_type_is_data_error(run, tmp_path, capsys, text, fiel
     assert not (tmp_path / "o").exists()
 
 
+def test_train_divergence_is_data_error_before_any_output(run, tmp_path, capsys):
+    # A learning rate this large sends the weights to inf within an epoch;
+    # the run must stop there, not write NaN into checkpoint.json.
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text(json.dumps({"learning_rate": 1e300, "epochs": 2, "hidden": 4}))
+    out = tmp_path / "o"
+    rc = cli.main(
+        [
+            "train",
+            "--data", str(run.data),
+            "--test-pairs", "3",
+            "--config", str(cfg),
+            "--out", str(out),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DATA
+    assert "diverged at epoch 1, batch " in err and "Traceback" not in err
+    assert not (out / "checkpoint.json").exists()
+
+
 def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("synthetic failure")

@@ -1,5 +1,7 @@
 """Tests for the 2-layer LSTM forecaster: forward oracles and exact BPTT."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,37 @@ def test_init_shapes_paper_architecture():
     assert p.layer2.w_ih.shape == (160, 40)
     assert p.head_w.shape == (70, 40)
     assert p.head_b.shape == (70,)
-    assert p.horizon == 70 and p.hidden == 40
+    assert m.HORIZON == 70 and p.hidden == 40
+    assert p.flat.shape == (23350,)
+
+
+def test_layout_views_tile_the_vector_once():
+    # The views cover the flat vector exactly once, back to back, in
+    # named_arrays order; a write through a view shows up in the vector.
+    p = m.init_params(5, hidden=7)
+    offset = 0
+    for (name, view), (lname, shape, loffset) in zip(m.named_arrays(p), m.layout(7)):
+        assert name == lname and view.shape == shape and loffset == offset
+        assert np.shares_memory(view, p.flat) and view.flags.c_contiguous
+        assert view.__array_interface__["data"][0] == (
+            p.flat.__array_interface__["data"][0] + 8 * offset)
+        offset += view.size
+    assert offset == p.flat.size == m.n_weights(7)
+    assert [name for name, _ in m.named_arrays(p)] == [
+        "layer1.w_ih", "layer1.w_hh", "layer1.b", "layer2.w_ih", "layer2.w_hh",
+        "layer2.b", "head_w", "head_b"]
+    p.layer2.w_hh[3, 2] = 123.5
+    p.head_b[-1] = -7.25
+    views = dict(m.named_arrays(p))
+    assert p.flat[m.layout(7)[4][2] + 3 * 7 + 2] == 123.5
+    assert p.flat[-1] == -7.25 and views["head_b"][-1] == -7.25
+    p.flat[0] = 9.0
+    assert p.layer1.w_ih[0, 0] == 9.0
+
+
+def test_model_params_rejects_wrong_length():
+    with pytest.raises(ContractViolation, match="23350"):
+        m.ModelParams(np.zeros(23349), 40)
 
 
 def test_init_weight_range_and_biases():
@@ -122,7 +154,7 @@ def test_head_bias_linearity():
     # Shifting head_b shifts the output by exactly that amount.
     params, x, _ = random_case(2, T=6)
     y0, _ = m.forward(x, params)
-    shifted = m.copy_params(params)
+    shifted = replace(params, flat=params.flat.copy())
     shifted.head_b += 1.25
     y1, _ = m.forward(x, shifted)
     assert np.allclose(y1 - y0, 1.25, atol=1e-12)
@@ -229,7 +261,8 @@ def test_layer_backward_trailing_dhs_equals_zero_padded(given):
     results = []
     for dhs in (padded, trailing):
         _, cache = m._layer_forward(xs, p)  # each backward consumes its cache
-        results.append(m._layer_backward(dhs, cache, p))
+        grads = m.init_params(0, hidden=8).layer1  # every entry is overwritten
+        results.append((m._layer_backward(dhs, cache, p, grads), grads))
     (dxs_a, grads_a), (dxs_b, grads_b) = results
     assert np.array_equal(dxs_a, dxs_b)
     for name in ("w_ih", "w_hh", "b"):
@@ -299,6 +332,6 @@ def test_predict_grip_rejects_non_finite():
 
 def test_copy_params_is_deep():
     p = small_params()
-    q = m.copy_params(p)
+    q = replace(p, flat=p.flat.copy())
     q.layer1.w_ih[0, 0] += 1.0
     assert p.layer1.w_ih[0, 0] != q.layer1.w_ih[0, 0]

@@ -1,14 +1,10 @@
-"""Tests for the deterministic PRNG and small linear-algebra helpers."""
-
-import math
+"""Tests for the deterministic PRNG and seed derivation."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gripforecast.errors import ContractViolation
-from gripforecast.numerics import Rng, derive_seed, matmul, require_finite
+from gripforecast.numerics import Rng, derive_seed
 
 # Reference splitmix64 outputs for seed 1 (the widely published test vector).
 SPLITMIX64_SEED1 = [
@@ -96,62 +92,3 @@ def test_permutation_is_a_permutation():
 
 def test_permutation_deterministic():
     assert Rng(12).permutation(20).tolist() == Rng(12).permutation(20).tolist()
-
-
-def test_spawn_decorrelates_streams():
-    parent = Rng(13)
-    child_a = parent.spawn(0)
-    child_b = parent.spawn(1)
-    assert child_a.next_u64() != child_b.next_u64()
-
-
-def test_matmul_against_triple_loop():
-    rng = Rng(21)
-    a = rng.uniform_matrix(5, 7, -1.0, 1.0)
-    b = rng.uniform_matrix(7, 3, -1.0, 1.0)
-    got = matmul(a, b)
-    want = np.zeros((5, 3))
-    for i in range(5):
-        for j in range(3):
-            for k in range(7):
-                want[i, j] += a[i, k] * b[k, j]
-    assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_matmul_identity():
-    rng = Rng(22)
-    a = rng.uniform_matrix(6, 6, -2.0, 2.0)
-    assert np.array_equal(matmul(a, np.eye(6)), a)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    n=st.integers(2, 8),
-    m=st.integers(2, 8),
-    k=st.integers(2, 8),
-    p=st.integers(2, 8),
-    seed=st.integers(0, 2**32),
-)
-def test_matmul_associativity(n, m, k, p, seed):
-    rng = Rng(seed)
-    a = rng.uniform_matrix(n, m, -1.0, 1.0)
-    b = rng.uniform_matrix(m, k, -1.0, 1.0)
-    c = rng.uniform_matrix(k, p, -1.0, 1.0)
-    left = matmul(matmul(a, b), c)
-    right = matmul(a, matmul(b, c))
-    assert np.max(np.abs(left - right)) < 1e-9
-
-
-def test_matmul_shape_mismatch_names_both_shapes():
-    with pytest.raises(ContractViolation) as err:
-        matmul(np.zeros((2, 3)), np.zeros((4, 5)))
-    message = str(err.value)
-    assert "2x3" in message and "4x5" in message
-
-
-def test_require_finite_rejects_nan_and_inf():
-    require_finite("ok", np.array([1.0, 2.0]))
-    with pytest.raises(ContractViolation, match="bad"):
-        require_finite("bad", np.array([1.0, math.nan]))
-    with pytest.raises(ContractViolation, match="bad"):
-        require_finite("bad", np.array([math.inf]))

@@ -21,7 +21,7 @@ from gripforecast.errors import ContractViolation
 from gripforecast.numerics import Rng
 from gripforecast.optim import AdamState, TrainConfig, adam_step, batch_indices, train
 from gripforecast.synthgen import generate_dataset
-from lstm_reference import bucketed_forecasts
+from lstm_reference import bucketed_forecasts, reference_adam_step, reference_clip
 
 
 def scalar_model(theta: float) -> m.ModelParams:
@@ -33,8 +33,12 @@ def scalar_model(theta: float) -> m.ModelParams:
     return p
 
 
-def grads_like(p: m.ModelParams, value: float) -> m.Gradients:
-    g = m.zero_gradients(p)
+def zero_grads(p: m.ModelParams) -> m.ModelParams:
+    return m.ModelParams(np.zeros_like(p.flat), p.hidden)
+
+
+def grads_like(p: m.ModelParams, value: float) -> m.ModelParams:
+    g = zero_grads(p)
     for _, arr in m.named_arrays(g):
         arr[:] = value
     return g
@@ -73,7 +77,7 @@ def unit_norm():
 def test_adam_zero_gradient_is_identity():
     p = m.init_params(1, hidden=3)
     state = AdamState.init_like(p)
-    q, state2 = adam_step(p, m.zero_gradients(p), state, TrainConfig())
+    q, state2 = adam_step(p, zero_grads(p), state, TrainConfig())
     for (_, a), (_, b) in zip(m.named_arrays(p), m.named_arrays(q)):
         assert np.array_equal(a, b)
     assert state2.t == 1
@@ -88,8 +92,8 @@ def test_adam_scalar_closed_form():
     q, state2 = adam_step(p, grads_like(p, 1.0), state, cfg)
     expected = -5e-4 / (1.0 + 1e-8)
     assert abs(float(q.head_b[0]) - expected) < 1e-12
-    assert state2.m["head_b"][0] == pytest.approx(0.1, abs=1e-15)
-    assert state2.v["head_b"][0] == pytest.approx(0.001, abs=1e-15)
+    assert state2.m[-1] == pytest.approx(0.1, abs=1e-15)  # head_b ends the vector
+    assert state2.v[-1] == pytest.approx(0.001, abs=1e-15)
 
 
 def test_adam_two_steps_closed_form():
@@ -125,9 +129,58 @@ def test_adam_is_pure():
 
 def test_adam_shape_mismatch_rejected():
     p = m.init_params(0, hidden=3)
-    g = m.zero_gradients(m.init_params(0, hidden=4))
+    g = zero_grads(m.init_params(0, hidden=4))
     with pytest.raises(ContractViolation, match="shape"):
         adam_step(p, g, AdamState.init_like(p), TrainConfig())
+
+
+def random_grads(p: m.ModelParams, seed: int) -> m.ModelParams:
+    return m.ModelParams(Rng(seed).normals(p.flat.size, 0.0, 1.0), p.hidden)
+
+
+def flatten(arrays: dict[str, np.ndarray]) -> np.ndarray:
+    """Name-keyed arrays back into one vector, in named_arrays order."""
+    return np.concatenate([arr.reshape(-1) for arr in arrays.values()])
+
+
+def test_adam_matches_per_name_oracle_bit_for_bit():
+    # Adam is element-wise, so the flat-vector step must give the same bits
+    # as the array-by-array reference, weights and moments alike.
+    p = m.init_params(6, hidden=5)
+    cfg = TrainConfig(learning_rate=1e-2)
+    state = AdamState.init_like(p)
+    arrays = {name: arr.copy() for name, arr in m.named_arrays(p)}
+    m_ref = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+    v_ref = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+    for t in range(1, 6):
+        g = random_grads(p, t)
+        p, state = adam_step(p, g, state, cfg)
+        arrays, m_ref, v_ref = reference_adam_step(
+            arrays, dict(m.named_arrays(g)), m_ref, v_ref, t, cfg)
+        assert state.t == t
+        assert np.array_equal(p.flat, flatten(arrays))
+        assert np.array_equal(state.m, flatten(m_ref))
+        assert np.array_equal(state.v, flatten(v_ref))
+
+
+def test_clipped_adam_matches_per_name_oracle():
+    # Only the norm's summation order differs from the per-array clip.
+    p = m.init_params(7, hidden=5)
+    cfg = TrainConfig(learning_rate=1e-2, clip_threshold=0.5)
+    state = AdamState.init_like(p)
+    arrays = {name: arr.copy() for name, arr in m.named_arrays(p)}
+    m_ref = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+    v_ref = {name: np.zeros_like(arr) for name, arr in arrays.items()}
+    for t in range(1, 6):
+        g = random_grads(p, 10 + t)
+        clipped = optim.clip_gradients(g, cfg.clip_threshold)
+        want = reference_clip(dict(m.named_arrays(g)), cfg.clip_threshold)
+        for name, arr in m.named_arrays(clipped):
+            assert np.max(np.abs(arr - want[name])) <= 1e-12 * np.max(np.abs(want[name]))
+        p, state = adam_step(p, clipped, state, cfg)
+        arrays, m_ref, v_ref = reference_adam_step(arrays, want, m_ref, v_ref, t, cfg)
+        for name, arr in m.named_arrays(p):
+            assert np.max(np.abs(arr - arrays[name])) <= 1e-12 * np.max(np.abs(arrays[name]))
 
 
 def test_train_config_validation():
