@@ -2,9 +2,11 @@
 
 Owns every on-disk format (dataset CSV via the dataset module, checkpoint
 JSON, loss-history CSV, metrics JSON, comparison CSV, forecast CSV) and the
-line-delimited streaming protocol. Exit codes: 0 success, 1 usage error,
-2 data error, 3 internal error (an invariant failure or any other unexpected
-exception, reported on one stderr line without a traceback).
+line-delimited streaming protocol. `predict` and `stream` read the same
+tick rows (WRENCH_CSV_HEADER: t_ms, then dataset.WRENCH_COLUMNS) through
+one reader, `_read_ticks`. Exit codes: 0 success,
+1 usage error, 2 data error, 3 internal error (an invariant failure or any
+other unexpected exception, reported on one stderr line without a traceback).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 import os
 import sys
 from collections import deque
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,7 @@ from .dataset import (
     PERIOD_MS,
     SamplingPolicy,
     TrainingSample,
+    WRENCH_COLUMNS,
     align_handover,
     apply_norm,
     extract_samples,
@@ -35,6 +39,7 @@ from .dataset import (
     load_recordings,
     ms_to_steps,
     save_recordings,
+    spacing_off,
     split_by_pair,
 )
 from .errors import ContractViolation, DataError
@@ -48,7 +53,7 @@ EXIT_INTERNAL = 3
 
 CHECKPOINT_VERSION = 1
 
-WRENCH_CSV_HEADER = ["t_ms", "fx_N", "fy_N", "fz_N", "tx_Nm", "ty_Nm", "tz_Nm"]
+WRENCH_CSV_HEADER = ["t_ms", *WRENCH_COLUMNS]
 
 STREAM_WINDOW_MS_MIN = 10.0
 STREAM_WINDOW_MS_MAX = 1250.0
@@ -250,13 +255,6 @@ def _load_aligned(path: str | Path) -> list[HandoverRecord]:
 def _split_and_extract(
     records: list[HandoverRecord], test_pairs: set[str], policy: SamplingPolicy
 ) -> tuple[list[TrainingSample], list[TrainingSample]]:
-    present = {rec.pair_id for rec in records}
-    unknown = sorted(test_pairs - present)
-    if unknown:
-        raise DataError(
-            f"test pair ids {unknown} do not appear in the data "
-            f"(present: {sorted(present)})"
-        )
     train_recs, test_recs = split_by_pair(records, test_pairs)
     if not train_recs:
         raise DataError("no pairs left for training after removing test pairs")
@@ -272,38 +270,61 @@ def _sample_id(sample: TrainingSample) -> str:
     )
 
 
-def _read_wrench_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Reads a t_ms + 6-channel wrench CSV; validates shape and monotone time."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
-        raise DataError(f"{path} is empty")
-    header = [cell.strip() for cell in lines[0].split(",")]
-    if header != WRENCH_CSV_HEADER:
-        raise DataError(
-            f"{path} must start with header {','.join(WRENCH_CSV_HEADER)!r}, "
-            f"got {lines[0]!r}"
-        )
-    if len(lines) == 1:
-        raise DataError(f"{path} has a header but no data rows")
-    times: list[float] = []
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 7:
-            raise DataError(f"{path} line {lineno}: expected 7 fields, got {len(cells)}")
+def _is_header(line: str) -> bool:
+    return "".join(line.split()) == ",".join(WRENCH_CSV_HEADER)
+
+
+def _parse_tick(line: str) -> tuple[float, list[float]]:
+    """One tick row as (t_ms, wrench); DataError says what is wrong with it."""
+    cells = line.split(",")
+    if len(cells) != len(WRENCH_CSV_HEADER):
+        raise DataError(f"expected {len(WRENCH_CSV_HEADER)} fields, got {len(cells)}")
+    try:
+        values = [float(c) for c in cells]
+    except ValueError as exc:
+        raise DataError(f"non-numeric field ({exc})") from None
+    if not all(math.isfinite(v) for v in values):
+        raise DataError("non-finite value")
+    return values[0], values[1:]
+
+
+def _read_ticks(
+    lines: Iterable[str], source: str, strict: bool
+) -> Iterator[tuple[float, list[float], bool]]:
+    """The one tick reader: yields (t_ms, wrench, restart) per tick, lazily.
+
+    Blank lines and a header on line 1 are skipped. A timestamp that does
+    not increase is a DataError. With `strict` (predict), so is a malformed
+    line or a spacing more than 1% off the 120 Hz period (dataset.spacing_off),
+    named by line. Otherwise (stream) a malformed line is skipped with one
+    `malformed tick` note on stderr, and an off spacing gets its own note and
+    yields restart=True: the caller starts a new window at that tick.
+    """
+    last_t: float | None = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or (lineno == 1 and _is_header(line)):
+            continue
         try:
-            values = [float(c) for c in cells]
-        except ValueError as exc:
-            raise DataError(f"{path} line {lineno}: non-numeric field ({exc})") from exc
-        if not all(math.isfinite(v) for v in values):
-            raise DataError(f"{path} line {lineno}: non-finite value")
-        times.append(values[0])
-        rows.append(values[1:])
-    t = np.asarray(times)
-    if np.any(np.diff(t) <= 0):
-        raise DataError(f"{path}: t_ms must be strictly increasing")
-    return t, np.asarray(rows)
+            t_ms, wrench = _parse_tick(line)
+        except DataError as exc:
+            if strict:
+                raise DataError(f"{source}: line {lineno}: {exc}") from None
+            print(f"{source}: line {lineno}: malformed tick ({exc}), skipped: {line!r}",
+                  file=sys.stderr)
+            continue
+        if last_t is not None and t_ms <= last_t:
+            raise DataError(f"{source}: line {lineno}: timestamp {t_ms:g} does not "
+                            f"increase past {last_t:g}")
+        restart = last_t is not None and spacing_off(t_ms - last_t)
+        if restart:
+            gap = (f"{source}: line {lineno}: spacing {t_ms - last_t:.4f} ms deviates "
+                   f"more than 1% from {PERIOD_MS:.4f} ms (120 Hz)")
+            if strict:
+                raise DataError(gap)
+            print(f"{gap}; the window restarts at this tick", file=sys.stderr)
+        last_t = t_ms
+        yield t_ms, wrench, restart
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +437,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     params, _ = load_checkpoint(args.model)
-    t, x = _read_wrench_csv(args.input)
-    forecast = m.predict_grip(x, params)
+    with open(args.input, encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    if not lines or not _is_header(lines[0]):
+        raise DataError(f"{args.input}: line 1 must be the header "
+                        f"{','.join(WRENCH_CSV_HEADER)!r}")
+    ticks = list(_read_ticks(lines, str(args.input), strict=True))
+    if not ticks:
+        raise DataError(f"{args.input} has a header but no ticks")
+    forecast = m.predict_grip(np.asarray([wrench for _, wrench, _ in ticks]), params)
     out_lines = ["t_ms,grip_N"]
     for step, value in enumerate(forecast, start=1):
-        out_lines.append(f"{_fmt(t[-1] + step * PERIOD_MS)},{_fmt(value)}")
+        out_lines.append(f"{_fmt(ticks[-1][0] + step * PERIOD_MS)},{_fmt(value)}")
     text = "\n".join(out_lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -430,57 +458,27 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_tick(line: str) -> tuple[float, list[float]] | None:
-    cells = line.split(",")
-    if len(cells) != 7:
-        return None
-    try:
-        values = [float(c) for c in cells]
-    except ValueError:
-        return None
-    if not all(math.isfinite(v) for v in values):
-        return None
-    return values[0], values[1:]
-
-
 def cmd_stream(args: argparse.Namespace) -> int:
     """Sliding-window forecasting over line-delimited ticks on stdin.
 
     The window holds the last `round_half_up(window_ms * 0.12) + 1` ticks
     (260 ms -> 32). Once it fills, every subsequent tick (and the filling
-    one) emits `t_ms,<70 grip values>` on stdout. Malformed lines are
-    reported on stderr and skipped; a non-increasing timestamp is fatal.
+    one) emits `t_ms,<70 grip values>` on stdout. Ticks come through
+    _read_ticks, which also says when a gap restarts the window.
     """
     params, _ = load_checkpoint(args.model)
     n_window = ms_to_steps(args.window_ms) + 1
     window: deque[list[float]] = deque(maxlen=n_window)
-    last_t: float | None = None
     stdin = args.stdin if args.stdin is not None else sys.stdin
     stdout = args.stdout if args.stdout is not None else sys.stdout
 
-    for lineno, raw in enumerate(stdin, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if lineno == 1 and line.replace(" ", "") == ",".join(WRENCH_CSV_HEADER):
-            continue
-        tick = _parse_tick(line)
-        if tick is None:
-            print(f"stream: line {lineno}: malformed tick, skipped: {line!r}",
-                  file=sys.stderr)
-            continue
-        t_ms, wrench = tick
-        if last_t is not None and t_ms <= last_t:
-            raise DataError(
-                f"stream: line {lineno}: timestamp {t_ms:g} does not increase "
-                f"past {last_t:g}"
-            )
-        last_t = t_ms
+    for t_ms, wrench, restart in _read_ticks(stdin, "stream", strict=False):
+        if restart:
+            window.clear()
         window.append(wrench)
         if len(window) < n_window:
             continue
-        x = np.asarray(window)
-        forecast = m.predict_grip(x, params)
+        forecast = m.predict_grip(np.asarray(window), params)
         stdout.write(_fmt(t_ms) + "," + ",".join(_fmt(v) for v in forecast) + "\n")
         stdout.flush()
     return EXIT_OK
@@ -559,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_OK
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable, or input that is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ContractViolation as exc:

@@ -17,11 +17,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AlignmentError, ContractViolation, LoadError, StatsError
+from .errors import AlignmentError, ContractViolation, DataError, LoadError, StatsError
 
 RATE_HZ = 120.0
 PERIOD_MS = 1000.0 / RATE_HZ
-STEPS_PER_MS = 0.12
 HORIZON = 70
 HORIZON_MS = HORIZON * PERIOD_MS  # 583.33 ms
 
@@ -41,7 +40,7 @@ CSV_COLUMNS = (
 WRENCH_COLUMNS = CSV_COLUMNS[3:9]
 GRIP_CHANNEL = "grip_giver_N"
 
-# Relative tolerance on the 8.333 ms sample spacing accepted by the loader.
+# Relative tolerance on the 8.333 ms sample spacing of every wrench input.
 _SPACING_TOL = 0.01
 
 
@@ -55,7 +54,13 @@ def round_half_up(x: float) -> int:
 
 
 def ms_to_steps(delta_ms: float) -> int:
-    return round_half_up(delta_ms * STEPS_PER_MS)
+    return round_half_up(delta_ms * (RATE_HZ / 1000.0))
+
+
+def spacing_off(dt_ms: float | np.ndarray) -> bool | np.ndarray:
+    """Whether a sample spacing (ms; a float or an array of them) is more
+    than 1% off the 120 Hz period: the one spacing rule for every input."""
+    return abs(dt_ms - PERIOD_MS) > _SPACING_TOL * PERIOD_MS
 
 
 @dataclass
@@ -83,10 +88,8 @@ class HandoverRecord:
             )
         if len(self.grip_giver) != n or len(self.grip_taker) != n:
             raise ContractViolation("grip series length mismatch")
-        if n > 1:
-            dt = np.diff(self.t_ms)
-            if np.any(np.abs(dt - PERIOD_MS) > _SPACING_TOL * PERIOD_MS):
-                raise ContractViolation("timestamps are not uniform 120 Hz spacing")
+        if np.any(spacing_off(np.diff(self.t_ms))):
+            raise ContractViolation("timestamps are not uniform 120 Hz spacing")
         for name, arr in (
             ("t_ms", self.t_ms),
             ("wrench", self.wrench),
@@ -229,7 +232,7 @@ def load_recordings(path: str) -> list[HandoverRecord]:
                     f"{path}: row {line}, field t_ms: non-monotone timestamp in "
                     f"handover ({pair_id}, {handover_id})"
                 )
-            off = np.where(np.abs(dt - PERIOD_MS) > _SPACING_TOL * PERIOD_MS)[0]
+            off = np.flatnonzero(spacing_off(dt))
             if off.size:
                 line = rows[off[0] + 1][0]
                 raise LoadError(
@@ -364,12 +367,14 @@ def extract_samples(
 def split_by_pair(
     records: list[HandoverRecord], test_pair_ids: set[str]
 ) -> tuple[list[HandoverRecord], list[HandoverRecord]]:
-    """Partition records into (train, test) by participant pair, order-stable."""
+    """Partition records into (train, test) by participant pair, order-stable.
+    A test pair id (from --test-pairs) that names no pair is a DataError."""
     present = {r.pair_id for r in records}
     unknown = sorted(set(test_pair_ids) - present)
     if unknown:
-        raise ContractViolation(
-            f"test pair id(s) not present in the data: {', '.join(unknown)}"
+        raise DataError(
+            f"test pair id(s) not present in the data: {', '.join(unknown)} "
+            f"(present: {', '.join(sorted(present))})"
         )
     train = [r for r in records if r.pair_id not in test_pair_ids]
     test = [r for r in records if r.pair_id in test_pair_ids]

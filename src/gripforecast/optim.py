@@ -103,11 +103,22 @@ def adam_step(
         )
     t = state.t + 1
     b1, b2, g = cfg.adam_beta1, cfg.adam_beta2, grads.flat
-    mom = b1 * state.m + (1.0 - b1) * g
-    vel = b2 * state.v + (1.0 - b2) * (g * g)
-    m_hat = mom / (1.0 - b1**t)
-    v_hat = vel / (1.0 - b2**t)
-    flat = params.flat - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    # The formulas above, operation for operation (so the bits match them),
+    # written into the three new vectors and one scratch vector.
+    tmp = np.multiply(g, 1.0 - b1)
+    mom = np.multiply(state.m, b1)
+    mom += tmp
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - b2
+    vel = np.multiply(state.v, b2)
+    vel += tmp
+    flat = np.divide(vel, 1.0 - b2**t)  # v_hat
+    np.sqrt(flat, out=flat)
+    flat += cfg.adam_eps
+    np.divide(mom, 1.0 - b1**t, out=tmp)  # m_hat
+    tmp *= cfg.learning_rate
+    tmp /= flat
+    np.subtract(params.flat, tmp, out=flat)
     return replace(params, flat=flat), AdamState(m=mom, v=vel, t=t)
 
 
@@ -190,21 +201,14 @@ def _forecasts(
 
 
 def _mean_loss(params: m.ModelParams, samples: list[TrainingSample]) -> float:
-    """Mean per-sample MSE over a normalized sample list (forward only).
-
-    Nested windows of one handover and t_o share one recurrent pass
-    (see _forecasts).
+    """MSE over a normalized sample list (forward only): the expression
+    evaluate uses for mse_norm. Nested windows of one handover and t_o share
+    one recurrent pass (see _forecasts).
     """
     if not samples:
         return float("nan")
-    r = _forecasts(params, samples) - np.stack([s.y for s in samples])
-    per_sample = np.mean(r * r, axis=1)
-    lengths = np.array([len(s.x) for s in samples])
-    # Summed per window length, shortest first, so loss_history.csv keeps its bytes.
-    total = 0.0
-    for n in np.unique(lengths):
-        total += float(np.sum(per_sample[lengths == n]))
-    return total / len(samples)
+    y_hat_norm = _forecasts(params, samples)
+    return float(np.mean((y_hat_norm - np.stack([s.y for s in samples])) ** 2))
 
 
 def train(

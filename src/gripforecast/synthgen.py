@@ -47,29 +47,17 @@ DEFAULT_MIDPOINT_JITTER_MS = 40.0
 # what makes grip amplitude inferable from the wrench channels at all.
 LOAD_GRIP_COUPLING = 0.75
 
-# Fixed mixing fractions of the load-share signal folded into the
-# non-vertical wrench channels (documented constants, not fit to anything).
-CHANNEL_MIX = {
-    "fx_N": 0.12,
-    "fy_N": -0.08,
-    "tx_Nm": 0.020,
-    "ty_Nm": -0.015,
-    "tz_Nm": 0.010,
-}
+# Fixed fractions, in WRENCH_COLUMNS order (fx, fy, fz, tx, ty, tz), of the
+# load-share signal in each wrench channel: the vertical force carries all of
+# it, the others small documented constants (not fit to anything).
+LOAD_MIX = np.array([0.12, -0.08, 1.0, 0.020, -0.015, 0.010])
 
 # Fixed fractions of each agent's noiseless grip curve that print through to
 # the wrench channels (grip squeeze -> contact force/torque at the sensor).
 # Magnitudes sit well above the channel noise floors so the signal is
 # recoverable, and the vertical force stays a pure load-share channel.
-GIVER_GRIP_MIX = {
-    "fx_N": 0.06,
-    "ty_Nm": -0.004,
-    "tz_Nm": 0.005,
-}
-TAKER_GRIP_MIX = {
-    "fy_N": 0.05,
-    "tx_Nm": 0.003,
-}
+GIVER_GRIP_MIX = np.array([0.06, 0.0, 0.0, 0.0, -0.004, 0.005])
+TAKER_GRIP_MIX = np.array([0.0, 0.05, 0.0, 0.003, 0.0, 0.0])
 
 _SMOOTH_LEN = 9  # boxcar length for band-limiting noise
 _OFFSET_RANGE_MS = 100.0  # emitted records are shifted by up to this much
@@ -147,7 +135,7 @@ def generate_handover(params: SynthParams, pair_id: str, handover_id: str) -> Ha
     Noiseless curves: giver grip hold*sigma(-(t-m)/w), taker grip
     peak*sigma((t-m)/w), vertical force load*sigma((t-m)/w) (the taker's
     load share ramping from 0 to the full object weight). The tangential
-    channels carry fixed fractions of the load share (CHANNEL_MIX) plus the
+    channels carry fixed fractions of the load share (LOAD_MIX) plus the
     grip print-through (GIVER_GRIP_MIX / TAKER_GRIP_MIX). Time stamps are
     shifted by a seeded random offset so align_handover has real work to do.
     """
@@ -176,29 +164,12 @@ def generate_handover(params: SynthParams, pair_id: str, handover_id: str) -> Ha
     giver_clean = params.giver_hold_N * _sigma(-u)
     taker_clean = params.taker_peak_N * share
 
-    wrench = np.zeros((n, 6))
-    base = {
-        "fx_N": CHANNEL_MIX["fx_N"] * params.load_N * share,
-        "fy_N": CHANNEL_MIX["fy_N"] * params.load_N * share,
-        "fz_N": params.load_N * share,
-        "tx_Nm": CHANNEL_MIX["tx_Nm"] * params.load_N * share,
-        "ty_Nm": CHANNEL_MIX["ty_Nm"] * params.load_N * share,
-        "tz_Nm": CHANNEL_MIX["tz_Nm"] * params.load_N * share,
-    }
-    for name, frac in GIVER_GRIP_MIX.items():
-        base[name] = base[name] + frac * giver_clean
-    for name, frac in TAKER_GRIP_MIX.items():
-        base[name] = base[name] + frac * taker_clean
-    stds = {
-        "fx_N": params.noise_force_std,
-        "fy_N": params.noise_force_std,
-        "fz_N": params.noise_force_std,
-        "tx_Nm": params.noise_torque_std,
-        "ty_Nm": params.noise_torque_std,
-        "tz_Nm": params.noise_torque_std,
-    }
-    for col_idx, name in enumerate(("fx_N", "fy_N", "fz_N", "tx_Nm", "ty_Nm", "tz_Nm")):
-        wrench[:, col_idx] = base[name] + _smooth_noise(rng, n, stds[name])
+    wrench = (share[:, None] * (LOAD_MIX * params.load_N)
+              + giver_clean[:, None] * GIVER_GRIP_MIX
+              + taker_clean[:, None] * TAKER_GRIP_MIX)
+    # Noise is drawn channel by channel: three force channels, three torques.
+    for col, std in enumerate([params.noise_force_std] * 3 + [params.noise_torque_std] * 3):
+        wrench[:, col] += _smooth_noise(rng, n, std)
 
     grip_giver = giver_clean + _smooth_noise(rng, n, params.noise_force_std)
     grip_taker = taker_clean + _smooth_noise(rng, n, params.noise_force_std)

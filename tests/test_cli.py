@@ -1,16 +1,21 @@
 """End-to-end tests of the command-line surface and its file formats."""
 
+import contextlib
 import errno
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from dataclasses import fields
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gripforecast import cli
 from gripforecast import model as m
@@ -382,6 +387,14 @@ def test_predict_non_finite_input_is_data_error(run, tmp_path):
     assert rc == cli.EXIT_DATA
 
 
+def test_predict_non_utf8_input_is_data_error(run, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"t_ms,fx_N,fy_N,fz_N,tx_Nm,ty_Nm,tz_Nm\n\xff\xfe,1\n")
+    rc = cli.main(["predict", "--model", str(run.ckpt), "--input", str(bad)])
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # stream
 
@@ -463,6 +476,142 @@ def test_stream_accepts_header_line(run, cli_env):
     proc = run_stream(run, text)
     assert proc.returncode == 0
     assert len(proc.stdout.strip().splitlines()) == 2
+
+
+def run_in_process(argv, stdin_text=""):
+    """cli.main with stdin, stdout and stderr in memory: (exit code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin_text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_stream_restarts_window_after_gap(run):
+    # 120 uniform ticks, with 500 ms added from tick 61 on: two 60-tick runs,
+    # each giving 60 - 31 forecasts at the default 32-tick window.
+    rec = align_handover(load_recordings(run.data)[0])
+    lines = ticks_for(rec, 120)
+    for i in range(60, 120):
+        lines[i] = ",".join([repr(float(rec.t_ms[i] + 500.0))] + lines[i].split(",")[1:])
+    rc, out, err = run_in_process(["stream", "--model", str(run.ckpt)], "\n".join(lines) + "\n")
+    assert rc == cli.EXIT_OK
+    assert "line 61" in err and "spacing" in err and "malformed tick" not in err
+    out = out.splitlines()
+    assert len(out) == 58
+    params, _ = cli.load_checkpoint(run.ckpt)
+    ends = list(range(31, 60)) + list(range(91, 120))
+    for line, end in zip(out, ends):
+        vals = line.split(",")
+        assert float(vals[0]) == float(lines[end].split(",")[0])
+        want = m.predict_grip(rec.wrench[end - 31 : end + 1], params)
+        assert np.array_equal(np.array([float(v) for v in vals[1:]]), want)
+
+
+def test_predict_window_with_gap_is_data_error(run, tmp_path):
+    rec = align_handover(load_recordings(run.data)[0])
+    lines = ticks_for(rec, 32)
+    lines[20] = ",".join([repr(float(rec.t_ms[20] + 500.0))] + lines[20].split(",")[1:])
+    window = tmp_path / "gap.csv"
+    window.write_text(",".join(cli.WRENCH_CSV_HEADER) + "\n" + "\n".join(lines[:21]) + "\n")
+    rc, out, err = run_in_process(["predict", "--model", str(run.ckpt), "--input", str(window)])
+    assert rc == cli.EXIT_DATA
+    assert "line 22" in err and "spacing" in err
+    assert out == ""
+
+
+# Line kinds of the random tick files below. Ticks advance a clock from the
+# last valid tick: by one period, by one period within 0.5% ("jitter"), by a
+# gap of at least 5% of a period, by nothing ("repeat") or backwards.
+TICK_KINDS = ("tick", "tick", "tick", "jitter", "gap", "repeat", "back",
+              "blank", "short", "long", "text", "nonfinite")
+BAD_CELLS = ("abc", "", "1.2.3", "0x10", "--1")
+
+
+@st.composite
+def tick_files(draw):
+    kinds = draw(st.lists(st.sampled_from(TICK_KINDS), max_size=14))
+    value = st.floats(-50.0, 50.0, allow_nan=False)
+    t = draw(st.floats(-1000.0, 1000.0))
+    lines, entries = [], []  # entries: (kind, t_ms or None) per line after the header
+    for kind in kinds:
+        cells = [repr(draw(value)) for _ in range(6)]
+        step = {"tick": PERIOD_MS, "jitter": PERIOD_MS * (1 + draw(st.floats(-0.005, 0.005))),
+                "gap": PERIOD_MS + draw(st.floats(0.45, 500.0)), "repeat": 0.0,
+                "back": -draw(st.floats(0.01, 100.0))}.get(kind)
+        if step is not None:
+            t += step
+            lines.append(",".join([repr(t)] + cells))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        elif kind in ("short", "long"):
+            cells = cells[:5] if kind == "short" else cells + [repr(draw(value))]
+            lines.append(",".join([repr(t)] + cells))
+        else:
+            bad = draw(st.sampled_from(BAD_CELLS) if kind == "text"
+                       else st.sampled_from(["nan", "inf", "-inf", "NaN"]))
+            cells.insert(0, repr(t))
+            cells[draw(st.integers(0, 6))] = bad
+            lines.append(",".join(cells))
+        entries.append((kind, t if step is not None else None))
+    return lines, entries
+
+
+def _tick_verdicts(entries):
+    """Per line after the header: "blank", "malformed", "ok", "gap" or "fatal"."""
+    verdicts, last = [], None
+    for kind, t in entries:
+        if t is None:
+            verdicts.append("blank" if kind == "blank" else "malformed")
+            continue
+        if last is not None and t <= last:
+            verdicts.append("fatal")
+        elif last is not None and abs(t - last - PERIOD_MS) > 0.01 * PERIOD_MS:
+            verdicts.append("gap")
+        else:
+            verdicts.append("ok")
+        last = t
+    return verdicts
+
+
+@settings(max_examples=30, deadline=None)
+@given(tick_files())
+def test_tick_reader_property(run, tick_file):
+    lines, entries = tick_file
+    verdicts = _tick_verdicts(entries)
+    text = "\n".join([",".join(cli.WRENCH_CSV_HEADER)] + lines) + "\n"
+    path = run.root / "ticks.csv"
+    path.write_text(text)
+
+    # predict: exit 0 exactly when every non-blank line is a valid tick in
+    # uniform succession, and there is at least one.
+    rc, out, err = run_in_process(["predict", "--model", str(run.ckpt), "--input", str(path)])
+    bad = [k for k, v in enumerate(verdicts, start=2) if v not in ("ok", "blank")]
+    if not bad and "ok" in verdicts:
+        assert rc == cli.EXIT_OK, err
+        assert len(out.splitlines()) == 71
+    else:
+        assert rc == cli.EXIT_DATA
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert (f"line {bad[0]}:" if bad else "no ticks") in err
+
+    # stream: skips malformed lines, restarts after a gap, stops on time
+    # that does not increase; a 10 ms window fills at 2 ticks.
+    rc, out, err = run_in_process(["stream", "--model", str(run.ckpt), "--window-ms", "10"], text)
+    upto = verdicts.index("fatal") if "fatal" in verdicts else len(verdicts)
+    assert rc == (cli.EXIT_DATA if upto < len(verdicts) else cli.EXIT_OK), err
+    assert err.count("malformed tick") == verdicts[:upto].count("malformed")
+    expected, filled = 0, 0
+    for v in verdicts[:upto]:
+        if v in ("ok", "gap"):
+            filled = 1 if v == "gap" else filled + 1
+            expected += filled >= 2
+    out = out.splitlines()
+    assert len(out) == expected
+    for line in out:
+        values = [float(v) for v in line.split(",")]
+        assert len(values) == 71 and all(math.isfinite(v) for v in values)
 
 
 class _ClosedPipe:

@@ -27,7 +27,8 @@ from gripforecast.dataset import (
     save_recordings,
     split_by_pair,
 )
-from gripforecast.errors import AlignmentError, ContractViolation, LoadError, StatsError
+from gripforecast.errors import (AlignmentError, ContractViolation, DataError, LoadError,
+                                 StatsError)
 
 
 def make_record(
@@ -336,7 +337,7 @@ def test_split_by_pair_partitions():
 
 def test_split_unknown_pair_rejected():
     recs = [make_record(pair="1")]
-    with pytest.raises(ContractViolation, match="9"):
+    with pytest.raises(DataError, match="9"):
         split_by_pair(recs, {"9"})
 
 

@@ -395,6 +395,19 @@ def test_evaluate_on_overfit_training_data_equals_train_loss():
     assert metrics.mse_norm == pytest.approx(hist.test[-1], abs=1e-9)
 
 
+def test_last_test_loss_is_evaluate_mse_norm_exactly():
+    # The per-epoch test loss and evaluate's mse_norm are one formula over the
+    # same forecasts, so after training they agree to the last bit.
+    records = [align_handover(r) for r in generate_dataset(2, 2, 3)]
+    raw = {pair: [s for r in records if r.pair_id == pair for s in extract_samples(r)]
+           for pair in ("1", "2")}
+    norm = fit_norm_stats(raw["1"])
+    cfg = TrainConfig(epochs=2, batch_size=8, hidden=4, seed=3)
+    params, hist = train([apply_norm(s, norm) for s in raw["1"]],
+                         [apply_norm(s, norm) for s in raw["2"]], cfg, norm)
+    assert hist.test[-1] == optim.evaluate(params, raw["2"]).mse_norm
+
+
 # ---------------------------------------------------------------------------
 # shared-prefix forward (evaluate and the per-epoch test loss)
 
