@@ -36,9 +36,7 @@ from .model import (
     GATE_ORDER,
     LstmLayerParams,
     ModelParams,
-    backward,
     backward_batch,
-    forward,
     forward_batch,
     init_params,
     predict_grip,
@@ -84,14 +82,12 @@ __all__ = [
     "adam_step",
     "align_handover",
     "apply_norm",
-    "backward",
     "backward_batch",
     "crossing_time_ms",
     "derive_seed",
     "evaluate",
     "extract_samples",
     "fit_norm_stats",
-    "forward",
     "forward_batch",
     "generate_dataset",
     "generate_handover",

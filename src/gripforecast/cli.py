@@ -4,7 +4,8 @@ Owns every on-disk format (dataset CSV via the dataset module, checkpoint
 JSON, loss-history CSV, metrics JSON, comparison CSV, forecast CSV) and the
 line-delimited streaming protocol. `predict` and `stream` read the same
 tick rows (WRENCH_CSV_HEADER: t_ms, then dataset.WRENCH_COLUMNS) through
-one reader, `_read_ticks`. Exit codes: 0 success,
+one reader, `_read_ticks`. A forecast that is not finite is never written:
+predict and eval exit 2, stream writes a note instead. Exit codes: 0 success,
 1 usage error, 2 data error, 3 internal error (an invariant failure or any
 other unexpected exception, reported on one stderr line without a traceback).
 """
@@ -150,7 +151,7 @@ def _checkpoint_array(
     """A finite float array of exactly `shape` from a JSON value."""
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond float
         raise DataError(f"checkpoint {path}: {what} is not numeric") from exc
     if arr.shape != shape:
         raise DataError(
@@ -162,20 +163,25 @@ def _checkpoint_array(
     return arr
 
 
+def _read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in the file at `path`; DataError names `what` and the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # bad JSON, not UTF-8, or an int too long to parse
+        raise DataError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} {path} must be a JSON object")
+    return doc
+
+
 def load_checkpoint(path: str | Path) -> tuple[m.ModelParams, dict]:
     """Validated load; returns the parameters and the raw document.
 
     Any malformed field raises DataError naming it, so a checkpoint that
     loads always yields finite weights and usable normalization stats.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"checkpoint {path} must be a JSON object")
-
+    doc = _read_json_object(path, "checkpoint")
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise DataError(
@@ -298,33 +304,39 @@ def _read_ticks(
     line or a spacing more than 1% off the 120 Hz period (dataset.spacing_off),
     named by line. Otherwise (stream) a malformed line is skipped with one
     `malformed tick` note on stderr, and an off spacing gets its own note and
-    yields restart=True: the caller starts a new window at that tick.
+    yields restart=True: the caller starts a new window at that tick. Text
+    that is not UTF-8 is a DataError naming the last line read before it.
     """
     last_t: float | None = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or (lineno == 1 and _is_header(line)):
-            continue
-        try:
-            t_ms, wrench = _parse_tick(line)
-        except DataError as exc:
-            if strict:
-                raise DataError(f"{source}: line {lineno}: {exc}") from None
-            print(f"{source}: line {lineno}: malformed tick ({exc}), skipped: {line!r}",
-                  file=sys.stderr)
-            continue
-        if last_t is not None and t_ms <= last_t:
-            raise DataError(f"{source}: line {lineno}: timestamp {t_ms:g} does not "
-                            f"increase past {last_t:g}")
-        restart = last_t is not None and spacing_off(t_ms - last_t)
-        if restart:
-            gap = (f"{source}: line {lineno}: spacing {t_ms - last_t:.4f} ms deviates "
-                   f"more than 1% from {PERIOD_MS:.4f} ms (120 Hz)")
-            if strict:
-                raise DataError(gap)
-            print(f"{gap}; the window restarts at this tick", file=sys.stderr)
-        last_t = t_ms
-        yield t_ms, wrench, restart
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or (lineno == 1 and _is_header(line)):
+                continue
+            try:
+                t_ms, wrench = _parse_tick(line)
+            except DataError as exc:
+                if strict:
+                    raise DataError(f"{source}: line {lineno}: {exc}") from None
+                print(f"{source}: line {lineno}: malformed tick ({exc}), skipped: {line!r}",
+                      file=sys.stderr)
+                continue
+            if last_t is not None and t_ms <= last_t:
+                raise DataError(f"{source}: line {lineno}: timestamp {t_ms:g} does not "
+                                f"increase past {last_t:g}")
+            restart = last_t is not None and spacing_off(t_ms - last_t)
+            if restart:
+                gap = (f"{source}: line {lineno}: spacing {t_ms - last_t:.4f} ms deviates "
+                       f"more than 1% from {PERIOD_MS:.4f} ms (120 Hz)")
+                if strict:
+                    raise DataError(gap)
+                print(f"{gap}; the window restarts at this tick", file=sys.stderr)
+            last_t = t_ms
+            yield t_ms, wrench, restart
+    except UnicodeDecodeError as exc:  # raised by `lines` itself, a text stream
+        raise DataError(
+            f"{source}: text after line {lineno} is not UTF-8 ({exc.reason})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +354,7 @@ def _load_train_config(path: str | None) -> TrainConfig:
     cfg = TrainConfig()
     if path is None:
         return cfg
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"config {path} must be a JSON object")
+    doc = _read_json_object(path, "config")
     known = {f.name for f in dataclasses.fields(TrainConfig)}
     unknown = sorted(set(doc) - known)
     if unknown:
@@ -391,6 +397,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@np.errstate(all="ignore")  # an overflow shows as a non-finite forecast, checked below
 def cmd_eval(args: argparse.Namespace) -> int:
     params, _ = load_checkpoint(args.model)
     test_pairs = _parse_test_pairs(args.test_pairs)
@@ -400,32 +407,28 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not test_raw:
         raise DataError("test pairs produced no samples")
     metrics = evaluate(params, test_raw)
+    summary = {k: getattr(metrics, k) for k in ("mse_norm", "mse_N2", "final_step_mae_N")}
+    # mse_N2 is finite only if every forecast is, so this checks them too.
+    bad = [name for name, value in summary.items() if not math.isfinite(value)]
+    if bad:
+        raise DataError(f"checkpoint {args.model} gives a non-finite {', '.join(bad)} on "
+                        "the test pairs; no file written")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "metrics.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(
-            {
-                "mse_norm": metrics.mse_norm,
-                "mse_N2": metrics.mse_N2,
-                "final_step_mae_N": metrics.final_step_mae_N,
-                "n_samples": metrics.n_samples,
-            },
-            fh,
-            indent=2,
-        )
+        json.dump({**summary, "n_samples": metrics.n_samples}, fh, indent=2)
         fh.write("\n")
     with open(out_dir / "comparison.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("sample_id,step,t_ms,predicted_N,actual_N\n")
-        for result in metrics.results:
-            s = result.sample
+        for s, predicted in zip(test_raw, metrics.predicted_N):
             base = ms_to_steps(s.t_e_ms)
             sid = _sample_id(s)
             for step in range(HORIZON):
                 t_ms = (base + 1 + step) * PERIOD_MS
                 fh.write(
                     f"{sid},{step},{_fmt(t_ms)},"
-                    f"{_fmt(result.predicted_N[step])},{_fmt(result.actual_N[step])}\n"
+                    f"{_fmt(predicted[step])},{_fmt(s.y[step])}\n"
                 )
     print(
         f"evaluated {metrics.n_samples} samples: mse_norm {metrics.mse_norm:.6f}, "
@@ -435,10 +438,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@np.errstate(all="ignore")  # an overflow shows as a non-finite forecast, checked below
 def cmd_predict(args: argparse.Namespace) -> int:
     params, _ = load_checkpoint(args.model)
-    with open(args.input, encoding="utf-8", newline="") as fh:
-        lines = fh.readlines()
+    try:
+        with open(args.input, encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{args.input} is not UTF-8 text ({exc.reason})") from None
     if not lines or not _is_header(lines[0]):
         raise DataError(f"{args.input}: line 1 must be the header "
                         f"{','.join(WRENCH_CSV_HEADER)!r}")
@@ -446,6 +453,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not ticks:
         raise DataError(f"{args.input} has a header but no ticks")
     forecast = m.predict_grip(np.asarray([wrench for _, wrench, _ in ticks]), params)
+    if not np.isfinite(forecast).all():
+        raise DataError(f"{args.input}: the forecast is not finite (overflow in the window "
+                        f"or in checkpoint {args.model})")
     out_lines = ["t_ms,grip_N"]
     for step, value in enumerate(forecast, start=1):
         out_lines.append(f"{_fmt(ticks[-1][0] + step * PERIOD_MS)},{_fmt(value)}")
@@ -458,13 +468,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@np.errstate(all="ignore")  # an overflow shows as a non-finite forecast, checked below
 def cmd_stream(args: argparse.Namespace) -> int:
     """Sliding-window forecasting over line-delimited ticks on stdin.
 
     The window holds the last `round_half_up(window_ms * 0.12) + 1` ticks
     (260 ms -> 32). Once it fills, every subsequent tick (and the filling
-    one) emits `t_ms,<70 grip values>` on stdout. Ticks come through
-    _read_ticks, which also says when a gap restarts the window.
+    one) emits `t_ms,<70 grip values>` on stdout, or, if the forecast is not
+    finite, one note on stderr instead. Ticks come through _read_ticks,
+    which also says when a gap restarts the window.
     """
     params, _ = load_checkpoint(args.model)
     n_window = ms_to_steps(args.window_ms) + 1
@@ -479,6 +491,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
         if len(window) < n_window:
             continue
         forecast = m.predict_grip(np.asarray(window), params)
+        if not np.isfinite(forecast).all():
+            print(f"stream: tick at t_ms {_fmt(t_ms)}: the forecast is not finite, "
+                  "no line written", file=sys.stderr)
+            continue
         stdout.write(_fmt(t_ms) + "," + ",".join(_fmt(v) for v in forecast) + "\n")
         stdout.flush()
     return EXIT_OK
@@ -557,12 +573,9 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_OK
-    except (OSError, UnicodeDecodeError) as exc:  # unreadable, or input that is not UTF-8
+    except OSError as exc:  # missing or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ContractViolation as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # a bug, not bad input: report it without a traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -193,31 +193,34 @@ def load_recordings(path: str) -> list[HandoverRecord]:
     flag is false; call align_handover before extracting samples.
     """
     groups: dict[tuple[str, str], list[tuple[int, list[float]]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in CSV_COLUMNS if c not in header]
-        if missing:
-            raise LoadError(f"{path}: missing column(s) {', '.join(missing)}")
-        for line_no, row in enumerate(reader, start=2):
-            values = []
-            for col in CSV_COLUMNS[2:]:
-                raw = row[col]
-                if raw is None:
-                    raise LoadError(f"{path}: row {line_no}, field {col}: missing value")
-                try:
-                    v = float(raw)
-                except ValueError:
-                    raise LoadError(
-                        f"{path}: row {line_no}, field {col}: not a number ({raw!r})"
-                    ) from None
-                if not math.isfinite(v):
-                    raise LoadError(
-                        f"{path}: row {line_no}, field {col}: non-finite value {raw!r}"
-                    )
-                values.append(v)
-            key = (row["pair_id"], row["handover_id"])
-            groups.setdefault(key, []).append((line_no, values))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            missing = [c for c in CSV_COLUMNS if c not in header]
+            if missing:
+                raise LoadError(f"{path}: missing column(s) {', '.join(missing)}")
+            for line_no, row in enumerate(reader, start=2):
+                values = []
+                for col in CSV_COLUMNS[2:]:
+                    raw = row[col]
+                    if raw is None:
+                        raise LoadError(f"{path}: row {line_no}, field {col}: missing value")
+                    try:
+                        v = float(raw)
+                    except ValueError:
+                        raise LoadError(
+                            f"{path}: row {line_no}, field {col}: not a number ({raw!r})"
+                        ) from None
+                    if not math.isfinite(v):
+                        raise LoadError(
+                            f"{path}: row {line_no}, field {col}: non-finite value {raw!r}"
+                        )
+                    values.append(v)
+                key = (row["pair_id"], row["handover_id"])
+                groups.setdefault(key, []).append((line_no, values))
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
     records = []
     for (pair_id, handover_id) in sorted(groups):

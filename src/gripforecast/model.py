@@ -3,20 +3,20 @@
 The network reads a (time, 6) interaction-wrench window, runs two stacked
 LSTM layers (gate order i, f, g, o; single bias vector per layer), and maps
 the final hidden state of the top layer through one affine head to the full
-70-step grip horizon. backward() returns exact analytic gradients via
+70-step grip horizon. backward_batch() returns exact analytic gradients via
 backpropagation through time; there is no autograd underneath.
 
-Internally everything is batched over (T, B, D) arrays; the single-sample
-forward/backward are the B=1 case. Samples batched together must share T.
-Each layer keeps only the recurrent product h_{t-1} @ W_hh^T (and, in BPTT,
-its transpose) inside the time loop; the input projection, the weight
-gradients and dL/dx run as single GEMMs over all T*B rows.
+The batch is the only interface: forward_batch and backward_batch take
+(T, B, 6) windows that share T, and a single window is the batch B=1, as in
+predict_grip. Each layer keeps only the recurrent product h_{t-1} @ W_hh^T
+(and, in BPTT, its transpose) inside the time loop; the input projection,
+the weight gradients and dL/dx run as single GEMMs over all T*B rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -303,42 +303,14 @@ def backward_batch(
     return loss, grads
 
 
-def forward(x: np.ndarray, p: ModelParams) -> tuple[np.ndarray, tuple]:
-    """Single-sample forward: x is (T, 6) normalized wrench, y_hat is (70,)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ContractViolation(
-            f"forward expects a non-empty (T, {INPUT_DIM}) window, "
-            f"got shape {x.shape}"
-        )
-    y, caches = forward_batch(x[:, None, :], p)
-    return y[0], caches
-
-
-def backward(
-    x: np.ndarray, y_true: np.ndarray, p: ModelParams
-) -> tuple[float, ModelParams]:
-    """Single-sample loss (1/70) * sum(residual^2) and exact BPTT gradients."""
-    y_true = np.asarray(y_true, dtype=np.float64)
-    if y_true.shape != (HORIZON,):
-        raise ContractViolation(
-            f"y_true must have shape ({HORIZON},), got {y_true.shape}"
-        )
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ContractViolation(
-            f"backward expects a non-empty (T, {INPUT_DIM}) window, "
-            f"got shape {x.shape}"
-        )
-    return backward_batch(x[:, None, :], y_true[None, :], p)
-
-
 def predict_grip(x_raw: np.ndarray, p: ModelParams) -> np.ndarray:
     """Forecast 70 giver grip forces in newtons from a raw wrench window.
 
     x_raw is (T, 6) in N / N*m. Normalizes with the embedded stats, runs the
-    encoder, and de-normalizes the grip channel. This is the call a robotic
-    giver makes on its wrist-sensor window.
+    encoder as a batch of one, and de-normalizes the grip channel. This is
+    the call a robotic giver makes on its wrist-sensor window. A window or
+    weights large enough to overflow float64 give a non-finite forecast;
+    the caller decides what to do with it.
     """
     if p.norm is None:
         raise ContractViolation("model has no normalization stats attached")
@@ -349,9 +321,5 @@ def predict_grip(x_raw: np.ndarray, p: ModelParams) -> np.ndarray:
         )
     if not np.all(np.isfinite(x_raw)):
         raise ContractViolation("predict_grip input contains non-finite values")
-    y_norm, _ = forward(normalize_wrench(x_raw, p.norm), p)
-    return denormalize_grip(y_norm, p.norm)
-
-
-def with_norm(p: ModelParams, norm: NormStats) -> ModelParams:
-    return replace(p, norm=norm)
+    y_norm, _ = forward_batch(normalize_wrench(x_raw, p.norm)[:, None, :], p)
+    return denormalize_grip(y_norm[0], p.norm)

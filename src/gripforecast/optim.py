@@ -3,12 +3,15 @@
 Defaults follow the tuned hyperparameters the forecasting task ships with:
 learning rate 5e-4, batch size 30, 100 epochs, 2x40 LSTM, MSE loss. Batches
 are drawn within exact-sequence-length buckets so variable-length windows
-never need padding and batch gradients stay exact sample means.
+never need padding and batch gradients stay exact sample means. evaluate
+returns its metrics next to one (N, 70) array of forecasts in newtons, row
+i for sample i; it does not judge their finiteness, which the caller checks.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,7 +47,7 @@ class TrainConfig:
             if name == "clip_threshold" and value is None:
                 continue
             if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
+                    or not abs(value) <= sys.float_info.max):  # an int may exceed a float
                 raise ContractViolation(f"{name} must be a finite number, got {value!r}")
         if self.learning_rate <= 0:
             raise ContractViolation(f"learning_rate must be > 0, got {self.learning_rate}")
@@ -232,7 +235,7 @@ def train(
     if not train_samples:
         raise ContractViolation("training set is empty")
 
-    params = m.with_norm(m.init_params(cfg.seed, hidden=cfg.hidden), norm)
+    params = replace(m.init_params(cfg.seed, hidden=cfg.hidden), norm=norm)
     state = AdamState.init_like(params)
     history = LossHistory()
     lengths = [len(s.x) for s in train_samples]
@@ -259,21 +262,12 @@ def train(
 
 
 @dataclass
-class SampleResult:
-    """One evaluated sample's de-normalized prediction next to the truth."""
-
-    sample: TrainingSample
-    predicted_N: np.ndarray  # (70,)
-    actual_N: np.ndarray  # (70,)
-
-
-@dataclass
 class EvalMetrics:
     mse_norm: float
     mse_N2: float
     final_step_mae_N: float
     n_samples: int
-    results: list[SampleResult]
+    predicted_N: np.ndarray  # (N, 70) de-normalized forecasts, in input order
 
 
 def evaluate(params: m.ModelParams, samples: list[TrainingSample]) -> EvalMetrics:
@@ -281,8 +275,8 @@ def evaluate(params: m.ModelParams, samples: list[TrainingSample]) -> EvalMetric
 
     Reports the mean MSE in normalized units, the mean MSE in N^2, and the
     mean absolute error of the final horizon step in newtons (how well the
-    forecast lands at zero grip). Per-sample trajectories are returned for
-    export, in input order. Nested windows of one handover and t_o share one
+    forecast lands at zero grip). The forecasts in newtons are returned as
+    one (N, 70) array whose row i belongs to samples[i]. Nested windows of one handover and t_o share one
     recurrent pass (see _forecasts).
     """
     if not samples:
@@ -299,6 +293,5 @@ def evaluate(params: m.ModelParams, samples: list[TrainingSample]) -> EvalMetric
         mse_N2=float(np.mean((predicted - actual) ** 2)),
         final_step_mae_N=float(np.mean(np.abs(predicted[:, -1] - actual[:, -1]))),
         n_samples=len(samples),
-        results=[SampleResult(sample=s, predicted_N=pred, actual_N=act)
-                 for s, pred, act in zip(samples, predicted, actual)],
+        predicted_N=predicted,
     )

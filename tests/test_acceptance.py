@@ -61,7 +61,7 @@ def _fd_worst_rel_err(seed: int, hidden: int, seq_len: int, eps: float) -> float
     rng = gf.Rng(gf.derive_seed(seed, 99))
     x = rng.normals(seq_len * 6, 0.0, 0.1).reshape(seq_len, 6)
     y = rng.normals(HORIZON, 0.0, 0.1)
-    _, grads = m.backward(x, y, params)
+    _, grads = m.backward_batch(x[:, None, :], y[None, :], params)
     grad_arrays = dict(m.named_arrays(grads))
     worst = 0.0
     for name, arr in m.named_arrays(params):
@@ -70,10 +70,10 @@ def _fd_worst_rel_err(seed: int, hidden: int, seq_len: int, eps: float) -> float
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            yp, _ = m.forward(x, params)
+            yp, _ = m.forward_batch(x[:, None, :], params)
             loss_plus = float(np.mean((yp - y) ** 2))
             flat[i] = orig - eps
-            ym, _ = m.forward(x, params)
+            ym, _ = m.forward_batch(x[:, None, :], params)
             loss_minus = float(np.mean((ym - y) ** 2))
             flat[i] = orig
             fd = (loss_plus - loss_minus) / (2.0 * eps)
@@ -242,9 +242,9 @@ def test_criterion_5_end_to_end_generalization(capsys):
     ratio = metrics.mse_norm / baseline_mse
 
     finals = [
-        abs(float(r.predicted_N[-1]))
-        for r in metrics.results
-        if r.sample.t_e_ms == 0.0
+        abs(float(predicted[-1]))
+        for predicted, s in zip(metrics.predicted_N, test_samples)
+        if s.t_e_ms == 0.0
     ]
     frac = float(np.mean([f <= 0.5 for f in finals]))
     elapsed = time.time() - t0

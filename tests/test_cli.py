@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface and its file formats."""
 
 import contextlib
+import copy
 import errno
 import io
 import json
@@ -8,7 +9,8 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from gripforecast import cli
 from gripforecast import model as m
 from gripforecast.dataset import PERIOD_MS, align_handover, load_recordings
+from gripforecast.errors import ContractViolation, DataError
 from gripforecast.optim import TrainConfig
 
 SMALL_CFG = {"epochs": 2, "hidden": 6, "batch_size": 16, "seed": 5}
@@ -214,15 +217,17 @@ def test_train_divergence_is_data_error_before_any_output(run, tmp_path, capsys)
     assert not (out / "checkpoint.json").exists()
 
 
-def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("exc_type", [RuntimeError, ContractViolation],
+                         ids=lambda t: t.__name__)
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch, exc_type):
     def broken(*args, **kwargs):
-        raise RuntimeError("synthetic failure")
+        raise exc_type("synthetic failure")
 
     monkeypatch.setattr(cli, "generate_dataset", broken)
     rc = cli.main(["synth", "--pairs", "1", "--per-pair", "1", "--out", str(tmp_path / "d.csv")])
     err = capsys.readouterr().err
     assert rc == cli.EXIT_INTERNAL
-    assert err == "internal error: RuntimeError: synthetic failure\n"
+    assert err == f"internal error: {exc_type.__name__}: synthetic failure\n"
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +297,13 @@ MALFORMED_CHECKPOINTS = {
                        "norm.wrench_std"),
     "zero_wrench_std": (("norm", "wrench_std"), [0.0] * 6, "> 0"),
     "negative_wrench_std": (("norm", "wrench_std"), [-1.0] + [1.0] * 5, "> 0"),
+    "int_beyond_float": (("norm", "grip_std"), 10**400, "norm.grip_std"),
 }
 # case -> (file bytes, text the error must name)
 UNREADABLE_CHECKPOINTS = {
     "not_an_object": (b"[1, 2]", "JSON object"),
     "not_utf8": (b"\xff\xfe{}", "not valid JSON"),
+    "int_too_long_to_parse": (b'{"hidden": 1' + b"0" * 5000 + b"}", "not valid JSON"),
 }
 
 
@@ -387,12 +394,42 @@ def test_predict_non_finite_input_is_data_error(run, tmp_path):
     assert rc == cli.EXIT_DATA
 
 
-def test_predict_non_utf8_input_is_data_error(run, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["predict", "train"])
+def test_predict_non_utf8_input_is_data_error(run, tmp_path, capsys, command):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"t_ms,fx_N,fy_N,fz_N,tx_Nm,ty_Nm,tz_Nm\n\xff\xfe,1\n")
-    rc = cli.main(["predict", "--model", str(run.ckpt), "--input", str(bad)])
+    argv = {"predict": ["predict", "--model", str(run.ckpt), "--input", str(bad)],
+            "train": ["train", "--data", str(bad), "--test-pairs", "3",
+                      "--out", str(tmp_path / "o")]}[command]
+    rc = cli.main(argv)
     assert rc == cli.EXIT_DATA
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(bad) in err
+
+
+class _LineByLine(io.RawIOBase):
+    """A pipe whose writer sends one line at a time, as a live sensor does."""
+
+    def __init__(self, data: bytes):
+        self.lines = data.splitlines(keepends=True)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        line = self.lines.pop(0) if self.lines else b""
+        buf[: len(line)] = line
+        return len(line)
+
+
+def test_stream_non_utf8_input_is_data_error(run):
+    rec = align_handover(load_recordings(run.data)[0])
+    data = ("\n".join(ticks_for(rec, 3)) + "\n").encode() + b"\xff,1\n"
+    stdin = io.TextIOWrapper(io.BufferedReader(_LineByLine(data)), encoding="utf-8")
+    rc, out, err = run_in_process(["stream", "--model", str(run.ckpt)], stdin)
+    assert rc == cli.EXIT_DATA
+    assert err == "error: stream: text after line 3 is not UTF-8 (invalid start byte)\n"
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +516,16 @@ def test_stream_accepts_header_line(run, cli_env):
 
 
 def run_in_process(argv, stdin_text=""):
-    """cli.main with stdin, stdout and stderr in memory: (exit code, out, err)."""
+    """cli.main with stdin, stdout and stderr in memory: (exit code, out, err).
+
+    stdin_text is a string or a text stream. Any warning is raised as an
+    error, so a numpy RuntimeWarning shows up as exit 3.
+    """
+    stdin = io.StringIO(stdin_text) if isinstance(stdin_text, str) else stdin_text
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(stdin_text)), \
+    with mock.patch.object(sys, "stdin", stdin), warnings.catch_warnings(), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
         rc = cli.main(argv)
     return rc, out.getvalue(), err.getvalue()
 
@@ -531,7 +574,8 @@ BAD_CELLS = ("abc", "", "1.2.3", "0x10", "--1")
 @st.composite
 def tick_files(draw):
     kinds = draw(st.lists(st.sampled_from(TICK_KINDS), max_size=14))
-    value = st.floats(-50.0, 50.0, allow_nan=False)
+    # Magnitudes near 1e308 overflow the model: such a window has no finite forecast.
+    value = st.floats(-50.0, 50.0) | st.floats(-1e308, 1e308) | st.sampled_from([-1e308, 1e308])
     t = draw(st.floats(-1000.0, 1000.0))
     lines, entries = [], []  # entries: (kind, t_ms or None) per line after the header
     for kind in kinds:
@@ -584,17 +628,21 @@ def test_tick_reader_property(run, tick_file):
     path.write_text(text)
 
     # predict: exit 0 exactly when every non-blank line is a valid tick in
-    # uniform succession, and there is at least one.
+    # uniform succession, there is at least one, and the forecast is finite.
     rc, out, err = run_in_process(["predict", "--model", str(run.ckpt), "--input", str(path)])
     bad = [k for k, v in enumerate(verdicts, start=2) if v not in ("ok", "blank")]
-    if not bad and "ok" in verdicts:
-        assert rc == cli.EXIT_OK, err
-        assert len(out.splitlines()) == 71
+    if not bad and "ok" in verdicts and rc == cli.EXIT_OK:
+        rows = out.splitlines()
+        assert len(rows) == 71
+        assert all(math.isfinite(float(v)) for row in rows[1:] for v in row.split(","))
     else:
         assert rc == cli.EXIT_DATA
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert (f"line {bad[0]}:" if bad else "no ticks") in err
+        if bad or "ok" not in verdicts:
+            assert (f"line {bad[0]}:" if bad else "no ticks") in err
+        else:
+            assert f"{path}: the forecast is not finite" in err
 
     # stream: skips malformed lines, restarts after a gap, stops on time
     # that does not increase; a 10 ms window fills at 2 ticks.
@@ -607,11 +655,144 @@ def test_tick_reader_property(run, tick_file):
         if v in ("ok", "gap"):
             filled = 1 if v == "gap" else filled + 1
             expected += filled >= 2
+    # Each full window gives a forecast line or, if it is not finite, one note.
     out = out.splitlines()
-    assert len(out) == expected
+    assert len(out) + err.count("the forecast is not finite") == expected
     for line in out:
         values = [float(v) for v in line.split(",")]
         assert len(values) == 71 and all(math.isfinite(v) for v in values)
+
+
+HUGE_WRENCH = "1e308,-1e308,1,1,1,1"
+
+
+def overflowing_checkpoint(run, path):
+    """A checkpoint that loads (every number finite) but forecasts inf."""
+    doc = json.loads(run.ckpt.read_text())
+    doc["norm"]["grip_std"] = 1e300
+    doc["weights"]["head_b"]["data"] = [1e10] * 70
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("case", ["huge_window", "overflowing_checkpoint"])
+def test_predict_non_finite_forecast_is_data_error(run, tmp_path, case):
+    window = tmp_path / "w.csv"
+    if case == "huge_window":
+        ckpt = run.ckpt
+        ticks = [f"{k * PERIOD_MS!r},{HUGE_WRENCH}" for k in range(32)]
+        window.write_text(",".join(cli.WRENCH_CSV_HEADER) + "\n" + "\n".join(ticks) + "\n")
+    else:
+        ckpt = overflowing_checkpoint(run, tmp_path / "big.json")
+        rec = align_handover(load_recordings(run.data)[0])
+        make_window_csv(window, rec, int(np.argmin(np.abs(rec.t_ms))))
+    rc, out, err = run_in_process(["predict", "--model", str(ckpt), "--input", str(window)])
+    assert rc == cli.EXIT_DATA, err
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {window}: the forecast is not finite")
+
+
+def test_stream_non_finite_forecast_gets_one_note(run):
+    # 70 ticks with tick 35's wrench replaced: the 32 windows that hold it
+    # (ending at ticks 35 to 66) get a note each, the other 7 a forecast line.
+    rec = align_handover(load_recordings(run.data)[0])
+    lines = ticks_for(rec, 70)
+    lines[35] = lines[35].split(",")[0] + "," + HUGE_WRENCH
+    rc, out, err = run_in_process(["stream", "--model", str(run.ckpt)], "\n".join(lines) + "\n")
+    assert rc == cli.EXIT_OK, err
+    assert "malformed tick" not in err
+    notes = err.splitlines()
+    assert len(notes) == 32
+    for note, line in zip(notes, lines[35:67]):
+        assert note == (f"stream: tick at t_ms {line.split(',')[0]}: the forecast is not "
+                        "finite, no line written")
+    params, _ = cli.load_checkpoint(run.ckpt)
+    ends = [31, 32, 33, 34, 67, 68, 69]
+    out = out.splitlines()
+    assert len(out) == len(ends)
+    for line, end in zip(out, ends):
+        vals = line.split(",")
+        assert vals[0] == lines[end].split(",")[0]
+        want = m.predict_grip(rec.wrench[end - 31 : end + 1], params)
+        assert np.array_equal(np.array([float(v) for v in vals[1:]]), want)
+
+
+def test_eval_non_finite_metrics_is_data_error_before_any_output(run, tmp_path):
+    ckpt = overflowing_checkpoint(run, tmp_path / "big.json")
+    out_dir = tmp_path / "eval"
+    rc, out, err = run_in_process(["eval", "--model", str(ckpt), "--data", str(run.data),
+                                   "--test-pairs", "3", "--out", str(out_dir)])
+    assert rc == cli.EXIT_DATA, err
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"error: checkpoint {ckpt} gives a non-finite ")
+    assert not out_dir.exists()
+
+
+@pytest.fixture(scope="module")
+def hidden2(run):
+    """A valid hidden-2 checkpoint document and a valid window for predict."""
+    norm = cli.load_checkpoint(run.ckpt)[0].norm
+    path = run.root / "hidden2.json"
+    cli.save_checkpoint(path, replace(m.init_params(3, hidden=2), norm=norm), TrainConfig(hidden=2))
+    rec = align_handover(load_recordings(run.data)[0])
+    window = run.root / "hidden2_window.csv"
+    make_window_csv(window, rec, int(np.argmin(np.abs(rec.t_ms))))
+    return json.loads(path.read_text()), window
+
+
+# Every weight array and every norm field, as a path into the checkpoint.
+SCALED_FIELDS = ([("weights", name, "data") for name, _, _ in m.layout(2)]
+                 + [("norm", key) for key in ("wrench_mean", "wrench_std", "grip_mean",
+                                              "grip_std")])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.sampled_from(SCALED_FIELDS),
+                       st.tuples(st.sampled_from([1.0, -1.0]), st.integers(-300, 300))))
+def test_checkpoint_fuzz_gives_finite_forecast_or_one_error(run, hidden2, scales):
+    # Each chosen field is scaled by +-10^k; predict must exit 0 with finite
+    # numbers only, or exit 2 with one error line, and never warn.
+    doc, window = copy.deepcopy(hidden2[0]), hidden2[1]
+    for (*outer, key), (sign, k) in scales.items():
+        block = doc
+        for name in outer:
+            block = block[name]
+        with np.errstate(over="ignore", under="ignore"):
+            block[key] = (np.asarray(block[key]) * (sign * 10.0**k)).tolist()
+    path = run.root / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_in_process(["predict", "--model", str(path), "--input", str(window)])
+    assert "Warning" not in err and "Traceback" not in err
+    if rc == cli.EXIT_OK:
+        rows = out.splitlines()
+        assert rows[0] == "t_ms,grip_N" and len(rows) == 71 and err == ""
+        assert all(math.isfinite(float(v)) for row in rows[1:] for v in row.split(","))
+    else:
+        assert rc == cli.EXIT_DATA, err
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -(10**400)])
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.sampled_from([f.name for f in fields(TrainConfig)]), JSON_VALUES))
+def test_config_fuzz_gives_valid_config_or_data_error(run, doc):
+    # The loader only: a random epochs value could train for hours.
+    path = run.root / "fuzzed_config.json"
+    path.write_text(json.dumps(doc))
+    try:
+        cfg = cli._load_train_config(str(path))
+    except DataError:
+        return
+    cfg.validate()
 
 
 class _ClosedPipe:

@@ -135,9 +135,9 @@ def test_forward_matches_scalar_loop_oracle():
     # T=151 is the 1250 ms stream window, the longest recurrence served.
     for seed, T, hidden in [(s, 11, 5) for s in range(5)] + [(8, 151, 40)]:
         params, x, _ = random_case(seed, T=T, hidden=hidden)
-        got, _ = m.forward(x, params)
+        got, _ = m.forward_batch(x[:, None, :], params)
         want = scalar_loop_forward(x, params)
-        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(got[0] - want)) < 1e-12
 
 
 def test_forward_batch_matches_per_sample_forward():
@@ -146,26 +146,26 @@ def test_forward_batch_matches_per_sample_forward():
     xs = rng.normals(7 * 4 * 6, 0.0, 0.5).reshape(7, 4, 6)
     y_batch, _ = m.forward_batch(xs, params)
     for b in range(4):
-        y_one, _ = m.forward(xs[:, b, :], params)
-        assert np.max(np.abs(y_batch[b] - y_one)) < 1e-12
+        y_one, _ = m.forward_batch(xs[:, b : b + 1, :], params)
+        assert np.max(np.abs(y_batch[b] - y_one[0])) < 1e-12
 
 
 def test_head_bias_linearity():
     # Shifting head_b shifts the output by exactly that amount.
     params, x, _ = random_case(2, T=6)
-    y0, _ = m.forward(x, params)
+    y0, _ = m.forward_batch(x[:, None, :], params)
     shifted = replace(params, flat=params.flat.copy())
     shifted.head_b += 1.25
-    y1, _ = m.forward(x, shifted)
+    y1, _ = m.forward_batch(x[:, None, :], shifted)
     assert np.allclose(y1 - y0, 1.25, atol=1e-12)
 
 
 def test_forward_rejects_bad_input():
     params = small_params()
     with pytest.raises(ContractViolation):
-        m.forward(np.zeros((0, 6)), params)
+        m.forward_batch(np.zeros((0, 1, 6)), params)
     with pytest.raises(ContractViolation):
-        m.forward(np.zeros((5, 4)), params)
+        m.forward_batch(np.zeros((5, 1, 4)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +177,10 @@ def fd_gradient(params, x, y, name, index, eps=1e-6):
     flat = arrays[name].reshape(-1)
     orig = flat[index]
     flat[index] = orig + eps
-    yp, _ = m.forward(x, params)
+    yp, _ = m.forward_batch(x[:, None, :], params)
     lp = float(np.mean((yp - y) ** 2))
     flat[index] = orig - eps
-    ym, _ = m.forward(x, params)
+    ym, _ = m.forward_batch(x[:, None, :], params)
     lm = float(np.mean((ym - y) ** 2))
     flat[index] = orig
     return (lp - lm) / (2 * eps)
@@ -188,8 +188,8 @@ def fd_gradient(params, x, y, name, index, eps=1e-6):
 
 def test_backward_loss_value():
     params, x, y = random_case(1)
-    loss, _ = m.backward(x, y, params)
-    y_hat, _ = m.forward(x, params)
+    loss, _ = m.backward_batch(x[:, None, :], y[None, :], params)
+    y_hat, _ = m.forward_batch(x[:, None, :], params)
     assert loss == pytest.approx(float(np.mean((y_hat - y) ** 2)), abs=1e-15)
 
 
@@ -197,7 +197,7 @@ def test_backward_spot_fd_check():
     # Small spot check on a handful of coordinates from every array; the
     # exhaustive 20-draw sweep lives in the acceptance suite.
     params, x, y = random_case(4, T=8)
-    _, grads = m.backward(x, y, params)
+    _, grads = m.backward_batch(x[:, None, :], y[None, :], params)
     garrs = dict(m.named_arrays(grads))
     rng = Rng(123)
     for name, arr in m.named_arrays(params):
@@ -217,7 +217,7 @@ def test_backward_batch_is_mean_of_sample_gradients():
     ys = rng.normals(B * 70, 0.0, 0.5).reshape(B, 70)
     loss_b, grads_b = m.backward_batch(xs, ys, params)
 
-    per = [m.backward(xs[:, b, :], ys[b], params) for b in range(B)]
+    per = [m.backward_batch(xs[:, b : b + 1, :], ys[b : b + 1], params) for b in range(B)]
     assert loss_b == pytest.approx(np.mean([p[0] for p in per]), abs=1e-14)
     for name, _ in m.named_arrays(params):
         mean_grad = np.mean(
@@ -285,8 +285,8 @@ def test_loss_invariant_under_batch_permutation():
 def test_gradients_zero_where_output_cannot_depend():
     # With targets equal to predictions, residual is 0 -> all gradients 0.
     params, x, _ = random_case(3)
-    y_hat, _ = m.forward(x, params)
-    loss, grads = m.backward(x, y_hat, params)
+    y_hat, _ = m.forward_batch(x[:, None, :], params)
+    loss, grads = m.backward_batch(x[:, None, :], y_hat, params)
     assert loss == 0.0
     for _, g in m.named_arrays(grads):
         assert np.all(g == 0.0)
@@ -306,13 +306,13 @@ def make_norm():
 
 
 def test_predict_grip_round_trips_normalization():
-    params = m.with_norm(small_params(), make_norm())
+    params = replace(small_params(), norm=make_norm())
     rng = Rng(77)
     x_raw = rng.normals(32 * 6, 0.0, 1.0).reshape(32, 6) + np.arange(6)
     got = m.predict_grip(x_raw, params)
     x_norm = (x_raw - params.norm.wrench_mean) / params.norm.wrench_std
-    y_norm, _ = m.forward(x_norm, params)
-    want = y_norm * 3.0 + 7.0
+    y_norm, _ = m.forward_batch(x_norm[:, None, :], params)
+    want = y_norm[0] * 3.0 + 7.0
     assert np.max(np.abs(got - want)) < 1e-9
 
 
@@ -323,7 +323,7 @@ def test_predict_grip_requires_norm():
 
 
 def test_predict_grip_rejects_non_finite():
-    params = m.with_norm(small_params(), make_norm())
+    params = replace(small_params(), norm=make_norm())
     x = np.zeros((32, 6))
     x[3, 2] = np.nan
     with pytest.raises(ContractViolation):

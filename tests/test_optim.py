@@ -201,6 +201,7 @@ def test_train_config_validation():
     ("hidden", 40.0), ("learning_rate", True), ("learning_rate", "5e-4"),
     ("learning_rate", float("nan")), ("adam_eps", float("inf")), ("adam_beta1", None),
     ("clip_threshold", "1"), ("clip_threshold", False),
+    pytest.param("learning_rate", 10**400, id="learning_rate-int_beyond_float"),
 ])
 def test_train_config_rejects_wrong_types(field, value):
     with pytest.raises(ContractViolation, match=field):
@@ -310,7 +311,7 @@ def test_gradient_clipping_rescales_to_threshold():
 def test_evaluate_perfect_predictor_all_zero():
     raw = make_samples(3, seed=5)
     norm = fit_norm_stats(raw)
-    params = m.with_norm(m.init_params(0, hidden=4), norm)
+    params = replace(m.init_params(0, hidden=4), norm=norm)
 
     # Test double: make the head reproduce each sample exactly is impossible
     # for one affine map, so instead feed targets equal to predictions.
@@ -338,22 +339,14 @@ def test_evaluate_perfect_predictor_all_zero():
 def test_evaluate_metrics_match_brute_force_recomputation():
     raw = make_samples(6, seed=8)
     norm = fit_norm_stats(raw)
-    params = m.with_norm(m.init_params(3, hidden=5), norm)
+    params = replace(m.init_params(3, hidden=5), norm=norm)
     metrics = optim.evaluate(params, raw)
 
-    assert len(metrics.results) == 6
-    mse_n2 = np.mean(
-        [np.mean((r.predicted_N - r.actual_N) ** 2) for r in metrics.results]
-    )
-    mae = np.mean(
-        [abs(r.predicted_N[-1] - r.actual_N[-1]) for r in metrics.results]
-    )
-    mse_norm = np.mean(
-        [
-            np.mean(((r.predicted_N - r.actual_N) / norm.grip_std) ** 2)
-            for r in metrics.results
-        ]
-    )
+    assert len(metrics.predicted_N) == 6
+    pairs = list(zip(metrics.predicted_N, raw, strict=True))
+    mse_n2 = np.mean([np.mean((pred - s.y) ** 2) for pred, s in pairs])
+    mae = np.mean([abs(pred[-1] - s.y[-1]) for pred, s in pairs])
+    mse_norm = np.mean([np.mean(((pred - s.y) / norm.grip_std) ** 2) for pred, s in pairs])
     assert metrics.mse_N2 == pytest.approx(mse_n2, rel=1e-12)
     assert metrics.final_step_mae_N == pytest.approx(mae, rel=1e-12)
     assert metrics.mse_norm == pytest.approx(mse_norm, rel=1e-12)
@@ -372,13 +365,15 @@ def test_evaluate_preserves_input_order():
         y=raw[1].y,
     )
     norm = fit_norm_stats(raw)
-    params = m.with_norm(m.init_params(0, hidden=4), norm)
+    params = replace(m.init_params(0, hidden=4), norm=norm)
     metrics = optim.evaluate(params, raw)
-    assert [r.sample.handover_id for r in metrics.results] == [s.handover_id for s in raw]
+    # Row i is sample i's forecast: the one evaluate gives for it alone.
+    alone = np.stack([optim.evaluate(params, [s]).predicted_N[0] for s in raw])
+    assert np.max(np.abs(metrics.predicted_N - alone)) <= 1e-12 * np.max(np.abs(alone))
 
 
 def test_evaluate_empty_rejected():
-    params = m.with_norm(m.init_params(0, hidden=3), unit_norm())
+    params = replace(m.init_params(0, hidden=3), norm=unit_norm())
     with pytest.raises(ContractViolation):
         optim.evaluate(params, [])
 
@@ -417,7 +412,7 @@ def handovers():
     """Default-policy windows (30 each) of two synthetic handovers, and a model."""
     records = [align_handover(r) for r in generate_dataset(1, 2, 3)]
     raw = [s for r in records for s in extract_samples(r)]
-    params = m.with_norm(m.init_params(1, hidden=6), fit_norm_stats(raw))
+    params = replace(m.init_params(1, hidden=6), norm=fit_norm_stats(raw))
     return raw, params
 
 
@@ -448,8 +443,8 @@ def test_forward_passes_match_per_length_reference(handovers, case):
     ref = bucketed_forecasts([normalize_wrench(s.x, norm) for s in samples], params)
 
     metrics = optim.evaluate(params, samples)
-    assert all(r.sample is s for r, s in zip(metrics.results, samples, strict=True))
-    got = np.stack([r.predicted_N for r in metrics.results])
+    assert metrics.predicted_N.shape == (len(samples), 70)
+    got = metrics.predicted_N
     want = denormalize_grip(ref, norm)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
