@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, replace
+from typing import NoReturn, TextIO
 
 import numpy as np
 
@@ -38,6 +40,8 @@ CSV_COLUMNS = (
     "grip_taker_N",
 )
 WRENCH_COLUMNS = CSV_COLUMNS[3:9]
+_ID_COLUMNS = CSV_COLUMNS[:2]
+_NUMERIC_COLUMNS = CSV_COLUMNS[2:]
 GRIP_CHANNEL = "grip_giver_N"
 
 # Relative tolerance on the 8.333 ms sample spacing of every wrench input.
@@ -188,73 +192,111 @@ class NormStats:
 def load_recordings(path: str) -> list[HandoverRecord]:
     """Parse a recording CSV into per-(pair, handover) records.
 
-    Records come back sorted by (pair_id, handover_id), rows within a record
-    in file order, which must already be timestamp-ascending. The aligned
-    flag is false; call align_handover before extracting samples.
+    Columns are found by their header names, so extra or reordered columns
+    load too. Records come back sorted by (pair_id, handover_id), rows within
+    a record in file order, which must already be timestamp-ascending. The
+    aligned flag is false; call align_handover before extracting samples.
+    A malformed file raises LoadError naming the row and field.
     """
-    groups: dict[tuple[str, str], list[tuple[int, list[float]]]] = {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            missing = [c for c in CSV_COLUMNS if c not in header]
+            header = next(csv.reader([fh.readline()]), [])
+            index = {name: i for i, name in enumerate(header)}
+            missing = [c for c in CSV_COLUMNS if c not in index]
             if missing:
                 raise LoadError(f"{path}: missing column(s) {', '.join(missing)}")
-            for line_no, row in enumerate(reader, start=2):
-                values = []
-                for col in CSV_COLUMNS[2:]:
-                    raw = row[col]
-                    if raw is None:
-                        raise LoadError(f"{path}: row {line_no}, field {col}: missing value")
-                    try:
-                        v = float(raw)
-                    except ValueError:
-                        raise LoadError(
-                            f"{path}: row {line_no}, field {col}: not a number ({raw!r})"
-                        ) from None
-                    if not math.isfinite(v):
-                        raise LoadError(
-                            f"{path}: row {line_no}, field {col}: non-finite value {raw!r}"
-                        )
-                    values.append(v)
-                key = (row["pair_id"], row["handover_id"])
-                groups.setdefault(key, []).append((line_no, values))
+            try:
+                with warnings.catch_warnings():  # loadtxt notes blank lines and no rows
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = _bulk_columns(fh, [index[c] for c in _NUMERIC_COLUMNS], np.float64)
+                    # object, not str: a numpy str array drops an id's trailing NULs
+                    ids = _bulk_columns(fh, [index[c] for c in _ID_COLUMNS], object)
+            except ValueError as exc:
+                _raise_first_bad_row(path, index, exc)
+            if not np.isfinite(data).all():
+                _raise_first_bad_row(path, index, None)
     except UnicodeDecodeError as exc:
         raise LoadError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
+    # Runs of rows that share an id pair; a handover may come back in several.
+    new_run = np.ones(len(ids), dtype=bool)
+    new_run[1:] = (ids[1:] != ids[:-1]).any(axis=1)
+    starts = np.flatnonzero(new_run)
+    runs: dict[tuple[str, str], list[np.ndarray]] = {}
+    for lo, hi in zip(starts, [*starts[1:], len(ids)]):
+        runs.setdefault((ids[lo, 0], ids[lo, 1]), []).append(np.arange(lo, hi))
+
     records = []
-    for (pair_id, handover_id) in sorted(groups):
-        rows = groups[(pair_id, handover_id)]
-        t = np.array([v[0] for _, v in rows], dtype=np.float64)
-        if len(t) > 1:
-            dt = np.diff(t)
-            bad = np.where(dt <= 0)[0]
-            if bad.size:
-                line = rows[bad[0] + 1][0]
-                raise LoadError(
-                    f"{path}: row {line}, field t_ms: non-monotone timestamp in "
-                    f"handover ({pair_id}, {handover_id})"
-                )
-            off = np.flatnonzero(spacing_off(dt))
-            if off.size:
-                line = rows[off[0] + 1][0]
-                raise LoadError(
-                    f"{path}: row {line}, field t_ms: spacing {dt[off[0]]:.4f} ms "
-                    f"deviates more than 1% from {PERIOD_MS:.4f} ms (120 Hz)"
-                )
-        data = np.array([v for _, v in rows], dtype=np.float64)
+    for (pair_id, handover_id) in sorted(runs):
+        rows = np.concatenate(runs[(pair_id, handover_id)])
+        block = data[rows]
+        t = block[:, 0].copy()
+        dt = np.diff(t)
+        bad = np.flatnonzero(dt <= 0)
+        if bad.size:
+            raise LoadError(
+                f"{path}: row {rows[bad[0] + 1] + 2}, field t_ms: non-monotone timestamp in "
+                f"handover ({pair_id}, {handover_id})"
+            )
+        off = np.flatnonzero(spacing_off(dt))
+        if off.size:
+            raise LoadError(
+                f"{path}: row {rows[off[0] + 1] + 2}, field t_ms: spacing {dt[off[0]]:.4f} ms "
+                f"deviates more than 1% from {PERIOD_MS:.4f} ms (120 Hz)"
+            )
         records.append(
             HandoverRecord(
                 pair_id=pair_id,
                 handover_id=handover_id,
                 t_ms=t,
-                wrench=np.ascontiguousarray(data[:, 1:7]),
-                grip_giver=data[:, 7].copy(),
-                grip_taker=data[:, 8].copy(),
+                wrench=np.ascontiguousarray(block[:, 1:7]),
+                grip_giver=block[:, 7].copy(),
+                grip_taker=block[:, 8].copy(),
                 aligned=False,
             )
         )
     return records
+
+
+def _bulk_columns(fh: TextIO, usecols: list[int], dtype: type) -> np.ndarray:
+    """One C-level pass over the data rows of an open CSV: (rows, len(usecols)).
+    Blank lines are skipped, as csv.DictReader skips them."""
+    fh.seek(0)
+    return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                      skiprows=1, usecols=usecols, ndmin=2)
+
+
+def _raise_first_bad_row(path: str, index: dict[str, int], exc: ValueError | None) -> NoReturn:
+    """Re-read the file row by row to name the first row and field that the bulk
+    parse refused. Only an error comes out of here, never records.
+
+    A cell is read as the bulk parse reads it: a plain ASCII float with any
+    whitespace around it. `float()` also takes `1_000` and non-ASCII digits,
+    which the bulk parse refuses, so those are refused here too.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        fh.readline()  # the header, read as load_recordings read it
+        for line_no, row in enumerate((r for r in csv.reader(fh) if r), start=2):
+            for col in _NUMERIC_COLUMNS + _ID_COLUMNS:
+                if index[col] >= len(row):
+                    raise LoadError(f"{path}: row {line_no}, field {col}: missing value")
+                raw = row[index[col]]
+                if col in _ID_COLUMNS:
+                    continue
+                text = raw.strip()
+                try:
+                    if not text.isascii() or "_" in text:
+                        raise ValueError(raw)
+                    v = float(text)
+                except ValueError:
+                    raise LoadError(
+                        f"{path}: row {line_no}, field {col}: not a number ({raw!r})"
+                    ) from None
+                if not math.isfinite(v):
+                    raise LoadError(
+                        f"{path}: row {line_no}, field {col}: non-finite value {raw!r}"
+                    )
+    raise LoadError(f"{path}: cannot parse ({exc})")
 
 
 def save_recordings(records: list[HandoverRecord], path: str) -> None:
@@ -277,10 +319,9 @@ def _grip_crossings(giver: np.ndarray, taker: np.ndarray) -> tuple[list[int], li
     Returns (downward, upward): downward crossings are indices k with
     d[k-1] > 0 and d[k] <= 0; upward the reverse.
     """
-    d = giver - taker
-    pos = d > 0
-    down = [k for k in range(1, len(d)) if pos[k - 1] and not pos[k]]
-    up = [k for k in range(1, len(d)) if (not pos[k - 1]) and pos[k]]
+    pos = (giver - taker) > 0
+    down = (np.flatnonzero(pos[:-1] & ~pos[1:]) + 1).tolist()
+    up = (np.flatnonzero(~pos[:-1] & pos[1:]) + 1).tolist()
     return down, up
 
 
@@ -387,22 +428,28 @@ def split_by_pair(
 def fit_norm_stats(train: list[TrainingSample]) -> NormStats:
     """Per-channel mean/std over the training samples' X (wrench) and Y (grip).
 
-    Population std (ddof=0). A channel with std below 1e-12 is degenerate
-    and rejected by name.
+    Population std (ddof=0). A channel whose mean or std is not finite (its
+    values overflow float64) or whose std is below 1e-12 is rejected by name.
     """
     if not train:
         raise ContractViolation("fit_norm_stats needs a non-empty training set")
     xs = np.concatenate([s.x for s in train], axis=0)
     ys = np.concatenate([s.y for s in train])
-    wrench_mean = xs.mean(axis=0)
-    wrench_std = xs.std(axis=0)
-    grip_mean = float(ys.mean())
-    grip_std = float(ys.std())
-    for i, col in enumerate(WRENCH_COLUMNS):
-        if wrench_std[i] < 1e-12:
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by name below
+        wrench_mean = xs.mean(axis=0)
+        wrench_std = xs.std(axis=0)
+        grip_mean = float(ys.mean())
+        grip_std = float(ys.std())
+    channels = zip(WRENCH_COLUMNS + (GRIP_CHANNEL,), [*wrench_mean, grip_mean],
+                   [*wrench_std, grip_std])
+    for col, mean, std in channels:
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            raise StatsError(
+                f"channel {col} has a mean or std that is not finite in the training "
+                "split: its values are too large"
+            )
+        if std < 1e-12:
             raise StatsError(f"channel {col} has zero variance in the training split")
-    if grip_std < 1e-12:
-        raise StatsError(f"channel {GRIP_CHANNEL} has zero variance in the training split")
     return NormStats(
         wrench_mean=wrench_mean,
         wrench_std=wrench_std,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import HORIZON, NormStats, denormalize_grip, normalize_wrench
-from .errors import ContractViolation
+from .errors import ContractViolation, DataError
 from .numerics import Rng
 
 GATE_ORDER = "ifgo"
@@ -112,13 +112,20 @@ def init_params(seed: int, hidden: int = 40) -> ModelParams:
     Biases start at zero except the forget gate slice, which starts at +1 so
     early training does not erase cell state. Draw order is fixed
     (layer1.w_ih, layer1.w_hh, layer2.w_ih, layer2.w_hh, head_w), so one seed
-    always yields byte-identical parameters.
+    always yields byte-identical parameters. A hidden whose weight vector
+    cannot be allocated is a DataError, since it comes from the train config.
     """
     if hidden < 1:
         raise ContractViolation(f"hidden must be >= 1, got {hidden}")
     rng = Rng(seed)
     bound = 1.0 / np.sqrt(hidden)
-    p = ModelParams(np.zeros(n_weights(hidden)), hidden)
+    try:
+        flat = np.zeros(n_weights(hidden))
+    except (ValueError, MemoryError):  # more elements than any array, or this machine, holds
+        raise DataError(
+            f"hidden {hidden} needs {n_weights(hidden):,} weights, more than can be allocated"
+        ) from None
+    p = ModelParams(flat, hidden)
     for _, arr in named_arrays(p):
         if arr.ndim == 2:
             arr[:] = rng.uniform_matrix(*arr.shape, -bound, bound)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from gripforecast import cli
 from gripforecast import model as m
-from gripforecast.dataset import PERIOD_MS, align_handover, load_recordings
+from gripforecast.dataset import PERIOD_MS, align_handover, load_recordings, save_recordings
 from gripforecast.errors import ContractViolation, DataError
 from gripforecast.optim import TrainConfig
 
@@ -215,6 +215,39 @@ def test_train_divergence_is_data_error_before_any_output(run, tmp_path, capsys)
     assert rc == cli.EXIT_DATA
     assert "diverged at epoch 1, batch " in err and "Traceback" not in err
     assert not (out / "checkpoint.json").exists()
+
+
+def test_train_overflowing_norm_stats_name_the_channel(run, tmp_path):
+    # One finite but huge fx_N cell inside a training window overflows the
+    # channel's mean and std; that is bad data in a named channel, not a
+    # diverging optimizer, and no numpy warning may reach stderr.
+    records = load_recordings(run.data)
+    rec = records[0]  # pair 1, a training pair
+    k = int(np.argmin(np.abs(align_handover(rec).t_ms + 187.0)))
+    rec.wrench[k, 0] = 1e308
+    data = tmp_path / "huge.csv"
+    save_recordings(records, data)
+    out = tmp_path / "o"
+    rc, stdout, err = run_in_process(
+        ["train", "--data", str(data), "--test-pairs", "3", "--config", str(run.cfg_path),
+         "--out", str(out)])
+    assert rc == cli.EXIT_DATA and stdout == ""
+    assert err.count("\n") == 1 and "fx_N" in err and "not finite" in err
+    assert not out.exists()
+
+
+def test_train_hidden_too_large_to_allocate_is_data_error(run, tmp_path):
+    # 10^12 asks for more elements than any numpy array may have, so this
+    # fails before anything is allocated.
+    cfg = tmp_path / "huge_hidden.json"
+    cfg.write_text(json.dumps({"hidden": 10**12, "epochs": 1}))
+    out = tmp_path / "o"
+    rc, stdout, err = run_in_process(
+        ["train", "--data", str(run.data), "--test-pairs", "3", "--config", str(cfg),
+         "--out", str(out)])
+    assert rc == cli.EXIT_DATA and stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error: hidden 1000000000000 ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("exc_type", [RuntimeError, ContractViolation],

@@ -1,10 +1,13 @@
 """Tests for recording IO, alignment, window extraction, and normalization."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loader_reference
 from gripforecast.dataset import (
     CSV_COLUMNS,
     HORIZON,
@@ -15,6 +18,7 @@ from gripforecast.dataset import (
     SamplingPolicy,
     TrainingSample,
     _descending_grid,
+    _grip_crossings,
     align_handover,
     apply_norm,
     denormalize_grip,
@@ -29,6 +33,7 @@ from gripforecast.dataset import (
 )
 from gripforecast.errors import (AlignmentError, ContractViolation, DataError, LoadError,
                                  StatsError)
+from gripforecast.synthgen import generate_dataset
 
 
 def make_record(
@@ -152,6 +157,236 @@ def test_load_groups_and_sorts_records(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# bulk loader against the cell-by-cell oracle (tests/loader_reference.py)
+
+
+def _same_records(got, want):
+    """Bit-identical ids, timestamps, wrench and both grips, in the same order."""
+    assert [(r.pair_id, r.handover_id) for r in got] == [
+        (r.pair_id, r.handover_id) for r in want]
+    for a, b in zip(got, want):
+        assert type(a.pair_id) is str and type(a.handover_id) is str and not a.aligned
+        for name in ("t_ms", "wrench", "grip_giver", "grip_taker"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype == np.float64 and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes(), name
+        assert a.wrench.flags.c_contiguous
+
+
+def _outcome(load, path):
+    """('ok', records) or (exception type, message) for one loader on one file."""
+    try:
+        return "ok", load(path)
+    except Exception as exc:  # the comparison is the point: any type must match
+        return type(exc), str(exc)
+
+
+def _csv_rows(path):
+    """Header and data rows of a CSV as lists of strings."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def _write_rows(path, rows, newline="\r\n"):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator=newline).writerows(rows)
+
+
+@pytest.fixture(scope="module")
+def synth_csv(tmp_path_factory):
+    """generate_dataset(3, 2, seed) as save_recordings writes it (CRLF)."""
+    p = tmp_path_factory.mktemp("loader") / "synth.csv"
+    save_recordings(generate_dataset(3, 2, 11), p)
+    return p
+
+
+def _lf(rows, path):
+    _write_rows(path, rows, "\n")
+
+
+def _interleaved(rows, path):
+    # Round-robin over the handovers, last handover first: every record is
+    # split into many runs, and no record's rows are in id order in the file.
+    by_id: dict = {}
+    for row in rows[1:]:
+        by_id.setdefault((row[0], row[1]), []).append(row)
+    queues = list(reversed(by_id.values()))
+    out = [rows[0]]
+    while any(queues):
+        for q in queues:
+            if q:
+                out.append(q.pop(0))
+    _write_rows(path, out)
+
+
+def _odd_ids(rows, path):
+    names = {"1": 'a,b', "2": 'say "hi"', "3": ' 3\x00'}
+    _write_rows(path, [rows[0]] + [[names[r[0]], r[1] + ",x"] + r[2:] for r in rows[1:]])
+
+
+def _extra_and_reordered_columns(rows, path):
+    order = [5, 10, 0, 3, 2, 9, 1, 4, 8, 6, 7]
+    out = [["note"] + [rows[0][i] for i in order] + ["spare"]]
+    out += [[f"n,{k}"] + [r[i] for i in order] + ['"q"'] for k, r in enumerate(rows[1:])]
+    _write_rows(path, out)
+
+
+def _padded_cells(rows, path):
+    for k, row in enumerate(rows[1:]):
+        row[2 + k % 9] = [" ", "\t", "\u00a0"][k % 3] + row[2 + k % 9] + " "
+    _write_rows(path, rows)
+
+
+def _blank_lines(rows, path):
+    rows[5:5] = [[], []]  # csv.writer writes an empty row as a bare line end
+    rows[300:300] = [[]]
+    _write_rows(path, rows + [[]])
+
+
+@pytest.mark.parametrize("rewrite", [None, _lf, _interleaved, _odd_ids,
+                                     _extra_and_reordered_columns, _padded_cells,
+                                     _blank_lines],
+                         ids=lambda f: "crlf" if f is None else f.__name__.strip("_"))
+def test_loader_matches_oracle_bit_for_bit(synth_csv, tmp_path, rewrite):
+    path = synth_csv
+    if rewrite is not None:
+        path = tmp_path / "rewritten.csv"
+        rewrite(_csv_rows(synth_csv), path)
+    want = loader_reference.load_recordings(path)
+    assert len(want) == 6
+    _same_records(load_recordings(path), want)
+
+
+def _set_cell(row_no, col, text):
+    """Rewrite: cell (file row row_no, column col) becomes text."""
+    def rewrite(rows, path):
+        rows[row_no - 1][CSV_COLUMNS.index(col)] = text
+        _write_rows(path, rows)
+    return rewrite
+
+
+def _short_row(rows, path):
+    rows[40] = rows[40][:5]
+    _write_rows(path, rows)
+
+
+def _whitespace_line(rows, path):
+    rows.insert(40, ["   "])
+    _write_rows(path, rows)
+
+
+def _swap_timestamps(rows, path):
+    rows[300][2], rows[301][2] = rows[301][2], rows[300][2]
+    _write_rows(path, rows)
+
+
+def _skip_a_sample(rows, path):
+    del rows[400]
+    _write_rows(path, rows)
+
+
+def _non_utf8_byte(rows, path):
+    _write_rows(path, rows)
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] = 0xFF
+    path.write_bytes(bytes(data))
+
+
+def _blank_lines_then_bad_value(rows, path):
+    rows[5:5] = [[], []]
+    rows[50][4] = "oops"
+    _write_rows(path, rows)
+
+
+def _padded_cells_then_bad_value(rows, path):
+    rows[900][3] = "oops"
+    _padded_cells(rows, path)
+
+
+def _header_only(rows, path):
+    _write_rows(path, rows[:1])
+
+
+def _missing_column(rows, path):
+    _write_rows(path, [r[:8] + r[9:] for r in rows])
+
+
+@pytest.mark.parametrize("rewrite", [
+    _set_cell(41, "fy_N", "oops"),
+    _set_cell(41, "tz_Nm", ""),
+    _set_cell(2, "t_ms", "nan"),
+    _set_cell(900, "grip_taker_N", "inf"),
+    _set_cell(900, "fx_N", "-Infinity"),
+    _short_row,
+    _whitespace_line,
+    _swap_timestamps,
+    _skip_a_sample,
+    _non_utf8_byte,
+    _blank_lines_then_bad_value,
+    _padded_cells_then_bad_value,
+    _header_only,
+    _missing_column,
+], ids=["bad_value", "empty_cell", "nan", "inf", "minus_infinity", "short_row",
+        "whitespace_line", "non_monotone", "bad_spacing", "non_utf8",
+        "blank_lines_then_bad_value", "padded_cells_then_bad_value", "header_only",
+        "missing_column"])
+def test_loader_malformed_matches_oracle(synth_csv, tmp_path, rewrite):
+    path = tmp_path / "bad.csv"
+    rewrite(_csv_rows(synth_csv), path)
+    want = _outcome(loader_reference.load_recordings, path)
+    got = _outcome(load_recordings, path)
+    if want[0] == "ok":
+        assert got[0] == "ok" and want[1] == []
+        _same_records(got[1], want[1])
+    else:
+        assert want[0] is LoadError
+        assert got == want
+
+
+# Characters for random edits. Left out: `_`, non-ASCII digits and the
+# separators \x1c-\x1f, where the loader departs from float() on purpose.
+_EDIT_CHARS = '0123456789.,"\r\n -+eEinfax\t\x00\u00a0'
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(["set", "insert", "delete"]),
+                          st.sampled_from(_EDIT_CHARS)), min_size=1, max_size=3))
+def test_loader_matches_oracle_on_randomly_edited_files(tmp_path_factory, edits):
+    header = ",".join(CSV_COLUMNS) + "\r\n"
+    body = list("".join(
+        f"{pair},1,{k * PERIOD_MS!r},1.5,-2,3e-1,4,5,6,7,8\r\n" for pair in "12" for k in range(4)))
+    for pos, op, char in edits:
+        i = pos % (len(body) + 1)
+        if op == "insert" or i == len(body):
+            body.insert(i, char)
+        elif op == "set":
+            body[i] = char
+        else:
+            del body[i]
+    path = tmp_path_factory.mktemp("edited") / "d.csv"
+    path.write_text(header + "".join(body), encoding="utf-8", newline="")
+    want = _outcome(loader_reference.load_recordings, path)
+    got = _outcome(load_recordings, path)
+    if want[0] == "ok":
+        assert got[0] == "ok", got
+        _same_records(got[1], want[1])
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("text", ["1_000", "１", "١.5"],
+                         ids=["underscore", "fullwidth_digit", "arabic_indic_digit"])
+def test_loader_refuses_cells_only_float_reads(synth_csv, tmp_path, text):
+    # float() reads these (the oracle loads them as numbers); the bulk parse
+    # reads plain ASCII floats only, and the loader names the cell instead.
+    path = tmp_path / "odd.csv"
+    _set_cell(41, "fy_N", text)(_csv_rows(synth_csv), path)
+    assert _outcome(loader_reference.load_recordings, path)[0] == "ok"
+    with pytest.raises(LoadError, match=rf"row 41, field fy_N: not a number \('{text}'\)"):
+        load_recordings(path)
+
+
+# ---------------------------------------------------------------------------
 # alignment
 
 
@@ -212,6 +447,25 @@ def test_align_upward_only_crossing_rejected():
     rec = make_record(n=n, k0=10, aligned=False, grip_giver=d, grip_taker=np.zeros(n))
     with pytest.raises(AlignmentError, match="upward"):
         align_handover(rec)
+
+
+def _grip_crossings_loop(giver, taker):
+    """The per-sample loops that dataset._grip_crossings vectorizes."""
+    d = giver - taker
+    pos = d > 0
+    down = [k for k in range(1, len(d)) if pos[k - 1] and not pos[k]]
+    up = [k for k in range(1, len(d)) if (not pos[k - 1]) and pos[k]]
+    return down, up
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=1, max_size=60))
+def test_grip_crossings_match_loop_version(signs):
+    giver = np.array(signs)
+    taker = np.zeros(len(signs))
+    down, up = _grip_crossings(giver, taker)
+    assert (down, up) == _grip_crossings_loop(giver, taker)
+    assert all(type(k) is int for k in down + up)
 
 
 # ---------------------------------------------------------------------------
