@@ -22,6 +22,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gripforecast.cli import main as cli_main
 
+TRAIN_KEYS = ("epochs", "hidden", "batch_size", "learning_rate", "seed")
+
 
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -30,11 +32,12 @@ def parse_args(argv=None):
     ap.add_argument("--per-pair", type=int, default=10)
     ap.add_argument("--data-seed", type=int, default=7)
     ap.add_argument("--test-pairs", default="12,13")
-    ap.add_argument("--epochs", type=int, default=100)
-    ap.add_argument("--hidden", type=int, default=40)
-    ap.add_argument("--batch-size", type=int, default=30)
-    ap.add_argument("--learning-rate", type=float, default=5e-4)
-    ap.add_argument("--train-seed", type=int, default=0)
+    # Training flags (default None) override TrainConfig's defaults when given.
+    ap.add_argument("--epochs", type=int)
+    ap.add_argument("--hidden", type=int)
+    ap.add_argument("--batch-size", type=int)
+    ap.add_argument("--learning-rate", type=float)
+    ap.add_argument("--train-seed", dest="seed", type=int)
     return ap.parse_args(argv)
 
 
@@ -43,19 +46,8 @@ def run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     data = out / "data.csv"
     config = out / "train_config.json"
-    config.write_text(
-        json.dumps(
-            {
-                "epochs": args.epochs,
-                "hidden": args.hidden,
-                "batch_size": args.batch_size,
-                "learning_rate": args.learning_rate,
-                "seed": args.train_seed,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    given = {key: getattr(args, key) for key in TRAIN_KEYS if getattr(args, key) is not None}
+    config.write_text(json.dumps(given, indent=2) + "\n")
 
     steps = [
         (

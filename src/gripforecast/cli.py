@@ -39,6 +39,7 @@ from .dataset import (
     fit_norm_stats,
     load_recordings,
     ms_to_steps,
+    parse_number,
     save_recordings,
     spacing_off,
     split_by_pair,
@@ -254,19 +255,10 @@ def _parse_test_pairs(text: str) -> set[str]:
     return pairs
 
 
-def _load_aligned(path: str | Path) -> list[HandoverRecord]:
-    return [align_handover(rec) for rec in load_recordings(path)]
-
-
-def _split_and_extract(
-    records: list[HandoverRecord], test_pairs: set[str], policy: SamplingPolicy
-) -> tuple[list[TrainingSample], list[TrainingSample]]:
-    train_recs, test_recs = split_by_pair(records, test_pairs)
-    if not train_recs:
-        raise DataError("no pairs left for training after removing test pairs")
-    train_samples = [s for rec in train_recs for s in extract_samples(rec, policy)]
-    test_samples = [s for rec in test_recs for s in extract_samples(rec, policy)]
-    return train_samples, test_samples
+def _windows(records: list[HandoverRecord]) -> list[TrainingSample]:
+    """Align each record and cut the default policy's windows, in record order."""
+    policy = SamplingPolicy()
+    return [s for rec in records for s in extract_samples(align_handover(rec), policy)]
 
 
 def _sample_id(sample: TrainingSample) -> str:
@@ -286,11 +278,9 @@ def _parse_tick(line: str) -> tuple[float, list[float]]:
     if len(cells) != len(WRENCH_CSV_HEADER):
         raise DataError(f"expected {len(WRENCH_CSV_HEADER)} fields, got {len(cells)}")
     try:
-        values = [float(c) for c in cells]
+        values = [parse_number(c) for c in cells]
     except ValueError as exc:
-        raise DataError(f"non-numeric field ({exc})") from None
-    if not all(math.isfinite(v) for v in values):
-        raise DataError("non-finite value")
+        raise DataError(str(exc)) from None
     return values[0], values[1:]
 
 
@@ -372,9 +362,11 @@ def _load_train_config(path: str | None) -> TrainConfig:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_train_config(args.config)
     test_pairs = _parse_test_pairs(args.test_pairs)
-    records = _load_aligned(args.data)
-    policy = SamplingPolicy()
-    train_raw, test_raw = _split_and_extract(records, test_pairs, policy)
+    train_recs, test_recs = split_by_pair(load_recordings(args.data), test_pairs)
+    if not train_recs:
+        raise DataError("no pairs left for training after removing test pairs")
+    train_raw = _windows(train_recs)
+    test_raw = _windows(test_recs)
     norm = fit_norm_stats(train_raw)
     train_samples = [apply_norm(s, norm) for s in train_raw]
     test_samples = [apply_norm(s, norm) for s in test_raw]
@@ -401,9 +393,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     params, _ = load_checkpoint(args.model)
     test_pairs = _parse_test_pairs(args.test_pairs)
-    records = _load_aligned(args.data)
-    policy = SamplingPolicy()
-    _, test_raw = _split_and_extract(records, test_pairs, policy)
+    _, test_recs = split_by_pair(load_recordings(args.data), test_pairs)
+    test_raw = _windows(test_recs)
     if not test_raw:
         raise DataError("test pairs produced no samples")
     metrics = evaluate(params, test_raw)

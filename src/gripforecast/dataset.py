@@ -19,7 +19,7 @@ from typing import NoReturn, TextIO
 
 import numpy as np
 
-from .errors import AlignmentError, ContractViolation, DataError, LoadError, StatsError
+from .errors import ContractViolation, DataError
 
 RATE_HZ = 120.0
 PERIOD_MS = 1000.0 / RATE_HZ
@@ -67,6 +67,26 @@ def spacing_off(dt_ms: float | np.ndarray) -> bool | np.ndarray:
     return abs(dt_ms - PERIOD_MS) > _SPACING_TOL * PERIOD_MS
 
 
+def parse_number(cell: str) -> float:
+    """A numeric cell of any wrench input, recording row or tick, read by the
+    one number grammar, which is also the bulk loader's: whitespace around the
+    cell is stripped, and the rest must be ASCII without `_` (`float()` alone
+    also takes `1_000` and non-ASCII digits), parse with `float()` and be
+    finite. The ValueError names the cell: `not a number (...)` or
+    `non-finite value ...`.
+    """
+    text = cell.strip()
+    try:
+        if not text.isascii() or "_" in text:
+            raise ValueError(cell)
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"not a number ({cell!r})") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {cell!r}")
+    return value
+
+
 @dataclass
 class HandoverRecord:
     """One handover's aligned-or-raw time series at 120 Hz."""
@@ -112,7 +132,6 @@ class TrainingSample:
     handover_id: str
     t_o_ms: float
     t_e_ms: float
-    t_f_ms: float
     x: np.ndarray  # (len_x, 6) wrench window over [t_o, t_e]
     y: np.ndarray  # (70,) giver grip over (t_e, t_f]
 
@@ -125,8 +144,6 @@ class TrainingSample:
                 f"x length {len(self.x)} does not match window "
                 f"[{self.t_o_ms}, {self.t_e_ms}] ms (expected {expect})"
             )
-        if abs((self.t_f_ms - self.t_e_ms) - HORIZON_MS) > PERIOD_MS:
-            raise ContractViolation("t_f - t_e must equal the 583.33 ms horizon")
 
 
 @dataclass
@@ -196,7 +213,7 @@ def load_recordings(path: str) -> list[HandoverRecord]:
     load too. Records come back sorted by (pair_id, handover_id), rows within
     a record in file order, which must already be timestamp-ascending. The
     aligned flag is false; call align_handover before extracting samples.
-    A malformed file raises LoadError naming the row and field.
+    A malformed file raises DataError naming the row and field.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -204,7 +221,7 @@ def load_recordings(path: str) -> list[HandoverRecord]:
             index = {name: i for i, name in enumerate(header)}
             missing = [c for c in CSV_COLUMNS if c not in index]
             if missing:
-                raise LoadError(f"{path}: missing column(s) {', '.join(missing)}")
+                raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
             try:
                 with warnings.catch_warnings():  # loadtxt notes blank lines and no rows
                     warnings.simplefilter("ignore", UserWarning)
@@ -216,7 +233,7 @@ def load_recordings(path: str) -> list[HandoverRecord]:
             if not np.isfinite(data).all():
                 _raise_first_bad_row(path, index, None)
     except UnicodeDecodeError as exc:
-        raise LoadError(f"{path} is not UTF-8 text ({exc.reason})") from None
+        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
     # Runs of rows that share an id pair; a handover may come back in several.
     new_run = np.ones(len(ids), dtype=bool)
@@ -234,13 +251,13 @@ def load_recordings(path: str) -> list[HandoverRecord]:
         dt = np.diff(t)
         bad = np.flatnonzero(dt <= 0)
         if bad.size:
-            raise LoadError(
+            raise DataError(
                 f"{path}: row {rows[bad[0] + 1] + 2}, field t_ms: non-monotone timestamp in "
                 f"handover ({pair_id}, {handover_id})"
             )
         off = np.flatnonzero(spacing_off(dt))
         if off.size:
-            raise LoadError(
+            raise DataError(
                 f"{path}: row {rows[off[0] + 1] + 2}, field t_ms: spacing {dt[off[0]]:.4f} ms "
                 f"deviates more than 1% from {PERIOD_MS:.4f} ms (120 Hz)"
             )
@@ -268,35 +285,19 @@ def _bulk_columns(fh: TextIO, usecols: list[int], dtype: type) -> np.ndarray:
 
 def _raise_first_bad_row(path: str, index: dict[str, int], exc: ValueError | None) -> NoReturn:
     """Re-read the file row by row to name the first row and field that the bulk
-    parse refused. Only an error comes out of here, never records.
-
-    A cell is read as the bulk parse reads it: a plain ASCII float with any
-    whitespace around it. `float()` also takes `1_000` and non-ASCII digits,
-    which the bulk parse refuses, so those are refused here too.
-    """
+    parse refused. Only an error comes out of here, never records."""
     with open(path, newline="", encoding="utf-8") as fh:
         fh.readline()  # the header, read as load_recordings read it
         for line_no, row in enumerate((r for r in csv.reader(fh) if r), start=2):
             for col in _NUMERIC_COLUMNS + _ID_COLUMNS:
                 if index[col] >= len(row):
-                    raise LoadError(f"{path}: row {line_no}, field {col}: missing value")
-                raw = row[index[col]]
-                if col in _ID_COLUMNS:
-                    continue
-                text = raw.strip()
-                try:
-                    if not text.isascii() or "_" in text:
-                        raise ValueError(raw)
-                    v = float(text)
-                except ValueError:
-                    raise LoadError(
-                        f"{path}: row {line_no}, field {col}: not a number ({raw!r})"
-                    ) from None
-                if not math.isfinite(v):
-                    raise LoadError(
-                        f"{path}: row {line_no}, field {col}: non-finite value {raw!r}"
-                    )
-    raise LoadError(f"{path}: cannot parse ({exc})")
+                    raise DataError(f"{path}: row {line_no}, field {col}: missing value")
+                if col in _NUMERIC_COLUMNS:
+                    try:
+                        parse_number(row[index[col]])
+                    except ValueError as exc:
+                        raise DataError(f"{path}: row {line_no}, field {col}: {exc}") from None
+    raise DataError(f"{path}: cannot parse ({exc})")
 
 
 def save_recordings(records: list[HandoverRecord], path: str) -> None:
@@ -336,17 +337,17 @@ def align_handover(record: HandoverRecord) -> HandoverRecord:
     down, up = _grip_crossings(record.grip_giver, record.grip_taker)
     changes = sorted(down + up)
     if not changes:
-        raise AlignmentError(
+        raise DataError(
             f"handover ({record.pair_id}, {record.handover_id}): grip forces "
             "never cross (giver - taker has no sign change)"
         )
     if len(changes) > 1:
-        raise AlignmentError(
+        raise DataError(
             f"handover ({record.pair_id}, {record.handover_id}): multiple grip "
             f"crossings at sample indices {changes}"
         )
     if not down:
-        raise AlignmentError(
+        raise DataError(
             f"handover ({record.pair_id}, {record.handover_id}): grip difference "
             f"only crosses upward (at index {changes[0]}); no giver release found"
         )
@@ -399,7 +400,6 @@ def extract_samples(
                 handover_id=record.handover_id,
                 t_o_ms=t_o,
                 t_e_ms=t_e,
-                t_f_ms=t_e + HORIZON_MS,
                 x=np.ascontiguousarray(record.wrench[i_o : i_e + 1]),
                 y=record.grip_giver[i_e + 1 : i_f + 1].copy(),
             )
@@ -444,12 +444,12 @@ def fit_norm_stats(train: list[TrainingSample]) -> NormStats:
                    [*wrench_std, grip_std])
     for col, mean, std in channels:
         if not (math.isfinite(mean) and math.isfinite(std)):
-            raise StatsError(
+            raise DataError(
                 f"channel {col} has a mean or std that is not finite in the training "
                 "split: its values are too large"
             )
         if std < 1e-12:
-            raise StatsError(f"channel {col} has zero variance in the training split")
+            raise DataError(f"channel {col} has zero variance in the training split")
     return NormStats(
         wrench_mean=wrench_mean,
         wrench_std=wrench_std,

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: usage errors exit 1, DataError (and
-subclasses) exit 2, ContractViolation and anything unexpected exit 3.
+The CLI maps these onto exit codes: usage errors exit 1, DataError exits 2,
+ContractViolation and anything unexpected exit 3.
 """
 
 
@@ -12,18 +12,3 @@ class ContractViolation(ValueError):
 class DataError(ValueError):
     """Input data is malformed or inconsistent with the recording format."""
 
-
-class LoadError(DataError):
-    """A recording file could not be parsed; message names row and field."""
-
-
-class AlignmentError(DataError):
-    """Grip-force crossing is missing or ambiguous in a handover record."""
-
-
-class StatsError(DataError):
-    """Normalization statistics cannot be fit; message names the channel."""
-
-
-class GenerationError(DataError):
-    """Synthetic-recording parameters cannot produce a valid record."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import HandoverRecord, PERIOD_MS
-from .errors import ContractViolation, GenerationError
+from .errors import ContractViolation, DataError
 from .numerics import derive_seed, Rng
 
 # Span (ms, handover-relative) every generated record must cover around the
@@ -145,7 +145,7 @@ def generate_handover(params: SynthParams, pair_id: str, handover_id: str) -> Ha
         params.duration_ms[0] <= t_star + REQUIRED_SPAN_MS[0]
         and params.duration_ms[1] >= t_star + REQUIRED_SPAN_MS[1]
     ):
-        raise GenerationError(
+        raise DataError(
             f"duration {params.duration_ms} does not cover "
             f"[{t_star + REQUIRED_SPAN_MS[0]:.1f}, {t_star + REQUIRED_SPAN_MS[1]:.1f}] ms "
             f"around the grip crossing at {t_star:.1f} ms; the default sampling "

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from gripforecast.dataset import CSV_COLUMNS, PERIOD_MS, HandoverRecord, spacing_off
-from gripforecast.errors import LoadError
+from gripforecast.errors import DataError
 
 
 def load_recordings(path: str) -> list[HandoverRecord]:
@@ -24,28 +24,28 @@ def load_recordings(path: str) -> list[HandoverRecord]:
             header = reader.fieldnames or []
             missing = [c for c in CSV_COLUMNS if c not in header]
             if missing:
-                raise LoadError(f"{path}: missing column(s) {', '.join(missing)}")
+                raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
             for line_no, row in enumerate(reader, start=2):
                 values = []
                 for col in CSV_COLUMNS[2:]:
                     raw = row[col]
                     if raw is None:
-                        raise LoadError(f"{path}: row {line_no}, field {col}: missing value")
+                        raise DataError(f"{path}: row {line_no}, field {col}: missing value")
                     try:
                         v = float(raw)
                     except ValueError:
-                        raise LoadError(
+                        raise DataError(
                             f"{path}: row {line_no}, field {col}: not a number ({raw!r})"
                         ) from None
                     if not math.isfinite(v):
-                        raise LoadError(
+                        raise DataError(
                             f"{path}: row {line_no}, field {col}: non-finite value {raw!r}"
                         )
                     values.append(v)
                 key = (row["pair_id"], row["handover_id"])
                 groups.setdefault(key, []).append((line_no, values))
     except UnicodeDecodeError as exc:
-        raise LoadError(f"{path} is not UTF-8 text ({exc.reason})") from None
+        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
     records = []
     for (pair_id, handover_id) in sorted(groups):
@@ -56,14 +56,14 @@ def load_recordings(path: str) -> list[HandoverRecord]:
             bad = np.where(dt <= 0)[0]
             if bad.size:
                 line = rows[bad[0] + 1][0]
-                raise LoadError(
+                raise DataError(
                     f"{path}: row {line}, field t_ms: non-monotone timestamp in "
                     f"handover ({pair_id}, {handover_id})"
                 )
             off = np.flatnonzero(spacing_off(dt))
             if off.size:
                 line = rows[off[0] + 1][0]
-                raise LoadError(
+                raise DataError(
                     f"{path}: row {line}, field t_ms: spacing {dt[off[0]]:.4f} ms "
                     f"deviates more than 1% from {PERIOD_MS:.4f} ms (120 Hz)"
                 )

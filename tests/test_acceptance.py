@@ -22,7 +22,6 @@ from types import SimpleNamespace
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-import gripforecast as gf
 from gripforecast import cli
 from gripforecast import model as m
 from gripforecast.dataset import (
@@ -31,9 +30,11 @@ from gripforecast.dataset import (
     apply_norm,
     extract_samples,
     fit_norm_stats,
+    load_recordings,
     normalize_grip,
     split_by_pair,
 )
+from gripforecast.numerics import Rng, derive_seed
 from gripforecast.optim import TrainConfig, adam_step, AdamState, evaluate, train
 from gripforecast.synthgen import generate_dataset
 
@@ -58,7 +59,7 @@ def _fd_worst_rel_err(seed: int, hidden: int, seq_len: int, eps: float) -> float
     scale 0.1 every such entry falls under the 1e-8 denominator guard.
     """
     params = m.init_params(seed, hidden=hidden)
-    rng = gf.Rng(gf.derive_seed(seed, 99))
+    rng = Rng(derive_seed(seed, 99))
     x = rng.normals(seq_len * 6, 0.0, 0.1).reshape(seq_len, 6)
     y = rng.normals(HORIZON, 0.0, 0.1)
     _, grads = m.backward_batch(x[:, None, :], y[None, :], params)
@@ -336,7 +337,7 @@ def test_criterion_7_online_offline_equivalence(tmp_path, monkeypatch, capsys):
     )
     ckpt = model_dir / "checkpoint.json"
 
-    rec = align_handover(gf.load_recordings(data)[0])
+    rec = align_handover(load_recordings(data)[0])
     n_ticks = 50
     tick_lines = []
     for i in range(n_ticks):

@@ -1,5 +1,6 @@
-"""The benchmark traces public functions by name; each name must still exist."""
+"""The benchmark calls and traces public names of src/; each must still exist."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -15,3 +16,19 @@ def test_every_tracer_target_is_callable(monkeypatch):
     assert targets
     for target in targets:
         assert callable(getattr(target.owner, target.attr, None)), target.name
+
+
+def test_every_module_attribute_the_benchmark_reads_exists():
+    # The timed runs also read names such as dataset.SamplingPolicy, cli.EXIT_OK
+    # and optim.LossHistory. perfbench/ is read here, never imported or edited.
+    modules = {"cli", "dataset", "model", "numerics", "optim", "synthgen"}
+    read = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                read.add((node.value.id, node.attr))
+    assert ("cli", "build_parser") in read and ("optim", "LossHistory") in read
+    missing = [f"{mod}.{attr}" for mod, attr in sorted(read)
+               if not hasattr(importlib.import_module(f"gripforecast.{mod}"), attr)]
+    assert missing == []

@@ -301,6 +301,25 @@ def test_eval_outputs_and_recompute_oracle(run, tmp_path):
     assert metrics["mse_norm"] == pytest.approx(mse_norm, rel=1e-9)
 
 
+def test_eval_needs_only_the_test_pairs(run, tmp_path):
+    # A file holding only the held-out pair, or one whose training handovers
+    # cannot be aligned, evaluates as the full file does.
+    records = load_recordings(run.data)
+    only_test = tmp_path / "pair3.csv"
+    save_recordings([r for r in records if r.pair_id == "3"], only_test)
+    unaligned = tmp_path / "unaligned.csv"
+    save_recordings([r if r.pair_id == "3" else replace(r, grip_taker=r.grip_giver + 1.0)
+                     for r in records], unaligned)
+    outputs = []
+    for data in (run.data, only_test, unaligned):
+        out = tmp_path / data.stem
+        argv = ["eval", "--model", str(run.ckpt), "--data", str(data), "--test-pairs", "3",
+                "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        outputs.append([(out / name).read_bytes() for name in ("metrics.json", "comparison.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_eval_version_mismatch_is_data_error(run, tmp_path, capsys):
     doc = json.loads(run.ckpt.read_text())
     doc["format_version"] = 999
@@ -519,6 +538,26 @@ def test_stream_skips_malformed_line_and_continues(run, cli_env):
     assert proc.returncode == 0
     assert "malformed" in proc.stderr
     assert len(proc.stdout.strip().splitlines()) == 40 - 31
+
+
+@pytest.mark.parametrize("cell", ["1_000", "\uff11"])
+def test_tick_cells_follow_the_loader_number_grammar(run, tmp_path, cell):
+    # float() reads both cells; the recording loader refuses them, and so do ticks.
+    rec = align_handover(load_recordings(run.data)[0])
+    lines = ticks_for(rec, 40)
+    bad = lines[10].split(",")
+    bad[2] = cell
+    lines.insert(10, ",".join(bad))  # line 11 of the stream, 12 of the file
+    window = tmp_path / "w.csv"
+    window.write_text(",".join(cli.WRENCH_CSV_HEADER) + "\n" + "\n".join(lines[:33]) + "\n")
+    rc, out, err = run_in_process(["predict", "--model", str(run.ckpt), "--input", str(window)])
+    assert rc == cli.EXIT_DATA and out == ""
+    assert err.splitlines() == [f"error: {window}: line 12: not a number ({cell!r})"]
+
+    rc, out, err = run_in_process(["stream", "--model", str(run.ckpt)], "\n".join(lines) + "\n")
+    assert rc == cli.EXIT_OK
+    assert err.count("malformed tick") == 1 and "line 11:" in err
+    assert len(out.splitlines()) == 40 - 31
 
 
 def test_stream_non_monotone_timestamp_is_fatal(run, cli_env):

@@ -31,8 +31,7 @@ from gripforecast.dataset import (
     save_recordings,
     split_by_pair,
 )
-from gripforecast.errors import (AlignmentError, ContractViolation, DataError, LoadError,
-                                 StatsError)
+from gripforecast.errors import ContractViolation, DataError
 from gripforecast.synthgen import generate_dataset
 
 
@@ -102,7 +101,7 @@ def test_load_missing_column_is_named(tmp_path):
     p = tmp_path / "d.csv"
     header = [c for c in CSV_COLUMNS if c != "fz_N"]
     _write_csv(p, [["1", "1", 0.0] + [1.0] * 7], header=header)
-    with pytest.raises(LoadError, match="fz_N"):
+    with pytest.raises(DataError, match="fz_N"):
         load_recordings(p)
 
 
@@ -111,7 +110,7 @@ def test_load_bad_value_names_row_and_field(tmp_path):
     row = _tick_row("1", "1", 0.0)
     row[4] = "oops"  # fy_N
     _write_csv(p, [_tick_row("1", "1", -PERIOD_MS), row])
-    with pytest.raises(LoadError, match=r"row 3.*fy_N"):
+    with pytest.raises(DataError, match=r"row 3.*fy_N"):
         load_recordings(p)
 
 
@@ -121,14 +120,14 @@ def test_load_non_monotone_timestamp(tmp_path):
         p,
         [_tick_row("1", "1", 0.0), _tick_row("1", "1", PERIOD_MS), _tick_row("1", "1", PERIOD_MS)],
     )
-    with pytest.raises(LoadError, match="non-monotone"):
+    with pytest.raises(DataError, match="non-monotone"):
         load_recordings(p)
 
 
 def test_load_bad_spacing(tmp_path):
     p = tmp_path / "d.csv"
     _write_csv(p, [_tick_row("1", "1", 0.0), _tick_row("1", "1", 10.0)])
-    with pytest.raises(LoadError, match="spacing"):
+    with pytest.raises(DataError, match="spacing"):
         load_recordings(p)
 
 
@@ -339,7 +338,7 @@ def test_loader_malformed_matches_oracle(synth_csv, tmp_path, rewrite):
         assert got[0] == "ok" and want[1] == []
         _same_records(got[1], want[1])
     else:
-        assert want[0] is LoadError
+        assert want[0] is DataError
         assert got == want
 
 
@@ -382,7 +381,7 @@ def test_loader_refuses_cells_only_float_reads(synth_csv, tmp_path, text):
     path = tmp_path / "odd.csv"
     _set_cell(41, "fy_N", text)(_csv_rows(synth_csv), path)
     assert _outcome(loader_reference.load_recordings, path)[0] == "ok"
-    with pytest.raises(LoadError, match=rf"row 41, field fy_N: not a number \('{text}'\)"):
+    with pytest.raises(DataError, match=rf"row 41, field fy_N: not a number \('{text}'\)"):
         load_recordings(path)
 
 
@@ -426,7 +425,7 @@ def test_align_no_crossing_is_hard_error():
     rec = make_record(
         n=n, k0=25, aligned=False, grip_giver=np.full(n, 10.0), grip_taker=np.full(n, 1.0)
     )
-    with pytest.raises(AlignmentError, match="never cross"):
+    with pytest.raises(DataError, match="never cross"):
         align_handover(rec)
 
 
@@ -436,7 +435,7 @@ def test_align_multiple_crossings_lists_candidates():
     d[20:30] = -1.0  # down at 20, up at 30
     d[45:] = -1.0  # down again at 45
     rec = make_record(n=n, k0=10, aligned=False, grip_giver=d + 5.0, grip_taker=np.full(n, 5.0))
-    with pytest.raises(AlignmentError, match="multiple") as err:
+    with pytest.raises(DataError, match="multiple") as err:
         align_handover(rec)
     assert "20" in str(err.value) and "30" in str(err.value) and "45" in str(err.value)
 
@@ -445,7 +444,7 @@ def test_align_upward_only_crossing_rejected():
     n = 50
     d = np.concatenate([np.full(25, -1.0), np.full(25, 1.0)])
     rec = make_record(n=n, k0=10, aligned=False, grip_giver=d, grip_taker=np.zeros(n))
-    with pytest.raises(AlignmentError, match="upward"):
+    with pytest.raises(DataError, match="upward"):
         align_handover(rec)
 
 
@@ -566,15 +565,14 @@ def test_training_sample_validation():
         handover_id="1",
         t_o_ms=-260.0,
         t_e_ms=0.0,
-        t_f_ms=HORIZON_MS,
         x=np.zeros((32, 6)),
         y=np.zeros(70),
     )
     s.validate()
     with pytest.raises(ContractViolation, match="70"):
-        TrainingSample("1", "1", -260.0, 0.0, HORIZON_MS, np.zeros((32, 6)), np.zeros(69)).validate()
+        TrainingSample("1", "1", -260.0, 0.0, np.zeros((32, 6)), np.zeros(69)).validate()
     with pytest.raises(ContractViolation, match="x length"):
-        TrainingSample("1", "1", -260.0, 0.0, HORIZON_MS, np.zeros((31, 6)), np.zeros(70)).validate()
+        TrainingSample("1", "1", -260.0, 0.0, np.zeros((31, 6)), np.zeros(70)).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -611,14 +609,14 @@ def test_fit_norm_stats_rejects_degenerate_channel_by_name():
     rec = make_record()
     rec.wrench[:, 2] = 4.2  # fz_N constant
     samples = extract_samples(rec)[:4]
-    with pytest.raises(StatsError, match="fz_N"):
+    with pytest.raises(DataError, match="fz_N"):
         fit_norm_stats(samples)
 
 
 def test_fit_norm_stats_rejects_constant_grip():
     rec = make_record(grip_giver=np.full(300, 3.0))
     samples = extract_samples(rec)[:4]
-    with pytest.raises(StatsError, match="grip_giver_N"):
+    with pytest.raises(DataError, match="grip_giver_N"):
         fit_norm_stats(samples)
 
 

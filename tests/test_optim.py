@@ -56,7 +56,6 @@ def make_samples(n, T=32, seed=0, grip_scale=5.0):
                 handover_id=str(k),
                 t_o_ms=-260.0,
                 t_e_ms=0.0,
-                t_f_ms=583.0,
                 x=x,
                 y=y,
             )
@@ -324,7 +323,6 @@ def test_evaluate_perfect_predictor_all_zero():
                 handover_id=s.handover_id,
                 t_o_ms=s.t_o_ms,
                 t_e_ms=s.t_e_ms,
-                t_f_ms=s.t_f_ms,
                 x=s.x,
                 y=pred,
             )
@@ -360,7 +358,6 @@ def test_evaluate_preserves_input_order():
         handover_id=raw[1].handover_id,
         t_o_ms=-510.0,
         t_e_ms=0.0,
-        t_f_ms=583.0,
         x=np.tile(raw[1].x, (2, 1))[:62],
         y=raw[1].y,
     )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gripforecast.dataset import SamplingPolicy, align_handover, extract_samples
-from gripforecast.errors import ContractViolation, GenerationError
+from gripforecast.errors import ContractViolation, DataError
 from gripforecast.synthgen import (
     DEFAULT_HOLD_RANGE_N,
     DEFAULT_LOAD_RANGE_N,
@@ -110,9 +110,9 @@ def test_planted_crossing_recovered_exactly_at_zero_noise():
 
 
 def test_duration_too_short_is_generation_error():
-    with pytest.raises(GenerationError, match="duration"):
+    with pytest.raises(DataError, match="duration"):
         generate_handover(SynthParams(duration_ms=(-800.0, 800.0)), "1", "1")
-    with pytest.raises(GenerationError, match="duration"):
+    with pytest.raises(DataError, match="duration"):
         generate_handover(SynthParams(duration_ms=(-1500.0, 500.0)), "1", "1")
 
 
