@@ -367,6 +367,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise DataError("no pairs left for training after removing test pairs")
     train_raw = _windows(train_recs)
     test_raw = _windows(test_recs)
+    for split, windows in (("training", train_raw), ("test", test_raw)):
+        if not windows:
+            raise DataError(f"{split} pairs produced no samples")
     norm = fit_norm_stats(train_raw)
     train_samples = [apply_norm(s, norm) for s in train_raw]
     test_samples = [apply_norm(s, norm) for s in test_raw]

@@ -8,9 +8,11 @@ backpropagation through time; there is no autograd underneath.
 
 The batch is the only interface: forward_batch and backward_batch take
 (T, B, 6) windows that share T, and a single window is the batch B=1, as in
-predict_grip. Each layer keeps only the recurrent product h_{t-1} @ W_hh^T
-(and, in BPTT, its transpose) inside the time loop; the input projection,
-the weight gradients and dL/dx run as single GEMMs over all T*B rows.
+predict_grip. backward_batch can also read several windows off one column:
+any prefix of a column is itself a window. Each layer keeps only the
+recurrent product h_{t-1} @ W_hh^T (and, in BPTT, its transpose) inside the
+time loop; the input projection, the weight gradients and dL/dx run as
+single GEMMs over all T*B rows.
 """
 
 from __future__ import annotations
@@ -198,18 +200,18 @@ def _layer_forward(xs: np.ndarray, p: LstmLayerParams) -> tuple[np.ndarray, _Lay
 def _layer_backward(
     dhs: np.ndarray, cache: _LayerCache, p: LstmLayerParams, grads: LstmLayerParams
 ) -> np.ndarray:
-    """BPTT through one layer given dL/dh; returns dL/dx per step.
+    """BPTT through one layer given dL/dh (T, B, H) from above; returns dL/dz.
 
-    dhs holds dL/dh for the last len(dhs) of the T steps (all T for a layer
-    whose outputs feed another layer, one for the top layer under the head);
-    earlier steps get their dL/dh only through the recurrence.
+    dhs[t] is the gradient that reaches h_t from outside the layer: from the
+    layer above, or from the head at the steps it reads. Every step also gets
+    dL/dh through the recurrence.
 
     Consumes the cache: once step t has read its gates, dL/dz for that step
     is written over cache.gates[t], and cache.cs[t] is replaced by its tanh.
     Only dz_t @ W_hh and the element-wise work stay in the time loop; dW_ih,
-    dW_hh, db and dL/dx are then single GEMMs or reductions over the
-    (T*B, 4H) block of dL/dz, the first three written into `grads`. No
-    (T, B, *) array is allocated beyond dL/dx.
+    dW_hh and db are then single GEMMs or a reduction over the (T*B, 4H)
+    block of dL/dz, written into `grads`. That block is returned, so a caller
+    that needs dL/dx takes it with one more GEMM, dz @ W_ih.
     """
     gates, cs, hs, xs = cache.gates, cache.cs, cache.hs, cache.xs
     t_steps, batch, h = hs.shape
@@ -225,12 +227,10 @@ def _layer_backward(
     rev = gates[::-1]
     per_gate = (rev[:, :, k * h : (k + 1) * h] for k in range(4))
     c_prevs = [*cs[-2::-1], None]
-    given = [*dhs[::-1], *[None] * (t_steps - len(dhs))]
     for y, i, f, g, o, c_t, c_prev, dh_t in zip(rev, *per_gate, cs[::-1], c_prevs,
-                                                given):
+                                                dhs[::-1]):
         tanh_c = np.tanh(c_t, out=c_t)  # c_t was last read as c_prev one step ago
-        if dh_t is not None:
-            dh += dh_t
+        dh += dh_t
         np.multiply(dh, tanh_c, out=up_o)
         np.multiply(tanh_c, tanh_c, out=tmp)
         np.subtract(1.0, tmp, out=tmp)
@@ -251,12 +251,10 @@ def _layer_backward(
         np.matmul(y, p.w_hh, out=dh)
 
     dz = gates.reshape(t_steps * batch, 4 * h)
-    dxs = np.empty(xs.shape)
-    np.matmul(dz, p.w_ih, out=dxs.reshape(t_steps * batch, -1))
     np.matmul(dz.T, xs.reshape(t_steps * batch, -1), out=grads.w_ih)
     np.matmul(dz[batch:].T, hs[:-1].reshape((t_steps - 1) * batch, h), out=grads.w_hh)
     np.sum(dz, axis=0, out=grads.b)
-    return dxs
+    return dz
 
 
 def head(h: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -280,32 +278,43 @@ def forward_batch(
 
 
 def backward_batch(
-    xs: np.ndarray, y_true: np.ndarray, p: ModelParams
+    xs: np.ndarray, y_true: np.ndarray, p: ModelParams,
+    ends: tuple[list[int], list[int]] | None = None,
 ) -> tuple[float, ModelParams]:
-    """Mean-over-batch MSE loss and its exact gradients.
+    """Mean-over-windows MSE loss and its exact gradients.
 
-    The loss averages over horizon steps and batch members, so the returned
-    gradients equal the mean of the per-sample gradients. Each gradient GEMM
-    and sum writes straight into its view of one new vector.
+    Window n is the first ends[0][n] + 1 steps of column ends[1][n] of xs,
+    and y_true[n] is its target; without `ends`, window n is all of column n.
+    The LSTM starts from zero state, so a window's forecast is the head at
+    its last step of the column's pass, and windows that are prefixes of one
+    column share that pass. The loss averages over horizon steps and
+    windows, so the returned gradients equal the mean of the per-window
+    gradients. Each gradient GEMM and sum writes straight into its view of
+    one new vector.
     """
     y_true = np.asarray(y_true, dtype=np.float64)
-    y_hat, (cache1, cache2) = forward_batch(xs, p)
+    _, (cache1, cache2) = forward_batch(xs, p)
+    t_steps, batch, h = cache2.hs.shape
+    steps, cols = ([t_steps - 1] * batch, list(range(batch))) if ends is None else ends
+    h_read = cache2.hs[steps, cols]  # (N, H): the top-layer states the head reads
+    y_hat = head(h_read, p)
     if y_true.shape != y_hat.shape:
         raise ContractViolation(
             f"target shape {y_true.shape} does not match prediction "
             f"shape {y_hat.shape}"
         )
-    batch = y_hat.shape[0]
     residual = y_hat - y_true
     loss = float(np.mean(residual * residual))
 
-    dy = (2.0 / (HORIZON * batch)) * residual  # (B, 70)
+    dy = (2.0 / (HORIZON * len(y_hat))) * residual  # (N, 70)
     grads = ModelParams(np.empty_like(p.flat), p.hidden)
-    np.matmul(dy.T, cache2.hs[-1], out=grads.head_w)
+    np.matmul(dy.T, h_read, out=grads.head_w)
     np.sum(dy, axis=0, out=grads.head_b)
-    dh_last = dy @ p.head_w  # (B, H): the only step whose h the head reads
+    dhs2 = np.zeros((t_steps, batch, h))
+    np.add.at(dhs2, (steps, cols), dy @ p.head_w)  # a repeated window adds twice
 
-    dxs2 = _layer_backward(dh_last[None], cache2, p.layer2, grads.layer2)
+    dz2 = _layer_backward(dhs2, cache2, p.layer2, grads.layer2)
+    dxs2 = (dz2 @ p.layer2.w_ih).reshape(t_steps, batch, h)
     _layer_backward(dxs2, cache1, p.layer1, grads.layer1)
     return loss, grads
 

@@ -76,16 +76,29 @@ class Rng:
                 out[i + 1] = r * math.sin(2.0 * math.pi * u2)
         return mean + std * out
 
+    def _uniforms(self, n: int) -> np.ndarray:
+        """The next n `uniform()` draws in one uint64 pass, bit for bit.
+
+        Output k is the scrambled state seed + k*gamma (mod 2^64), so the
+        states are one wrapping multiply and the scrambler runs over all n.
+        """
+        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        z ^= z >> 30
+        z *= 0xBF58476D1CE4E5B9
+        z ^= z >> 27
+        z *= 0x94D049BB133111EB
+        z ^= z >> 31
+        return (z >> 11).astype(np.float64) * 2.0**-53
+
     def uniform_matrix(self, rows: int, cols: int, lo: float, hi: float) -> np.ndarray:
-        flat = np.array(
-            [self.uniform() for _ in range(rows * cols)], dtype=np.float64
-        )
-        return (lo + (hi - lo) * flat).reshape(rows, cols)
+        return (lo + (hi - lo) * self._uniforms(rows * cols)).reshape(rows, cols)
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n) driven by the uniform stream."""
-        idx = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = int(self.uniform() * (i + 1))
+        idx = list(range(n))
+        swaps = range(n - 1, 0, -1)
+        picks = (self._uniforms(len(swaps)) * np.arange(n, 1, -1)).astype(np.int64)
+        for i, j in zip(swaps, picks.tolist()):
             idx[i], idx[j] = idx[j], idx[i]
-        return idx
+        return np.array(idx, dtype=np.int64)

@@ -1,11 +1,18 @@
 """Adam optimizer, mini-batch training loop, and evaluation metrics.
 
 Defaults follow the tuned hyperparameters the forecasting task ships with:
-learning rate 5e-4, batch size 30, 100 epochs, 2x40 LSTM, MSE loss. Batches
-are drawn within exact-sequence-length buckets so variable-length windows
-never need padding and batch gradients stay exact sample means. evaluate
-returns its metrics next to one (N, 70) array of forecasts in newtons, row
-i for sample i; it does not judge their finiteness, which the caller checks.
+learning rate 5e-4, batch size 30, 100 epochs, 2x40 LSTM, MSE loss.
+
+The LSTM starts from zero state at t_o, so a window whose x is a prefix of
+a longer window's x of the same handover and t_o ends on a hidden state
+that the longer window's pass already computes. `_root_of` groups every
+window under such a root window, and each recurrent pass runs over roots
+only: training, the per-epoch test loss and evaluate alike. A training
+batch holds at most batch_size windows, whole roots where they fit, and
+all its roots have one exact length, so nothing is padded and the batch
+gradient is exactly the mean of its windows' gradients. evaluate returns
+its metrics next to one (N, 70) array of forecasts in newtons, row i for
+sample i; it does not judge their finiteness, which the caller checks.
 """
 
 from __future__ import annotations
@@ -133,52 +140,15 @@ def clip_gradients(grads: m.ModelParams, threshold: float) -> m.ModelParams:
     return replace(grads, flat=grads.flat * (threshold / norm))
 
 
-def batch_indices(
-    lengths: list[int], batch_size: int, rng: Rng
-) -> list[list[int]]:
-    """Deterministic epoch batching: shuffle within exact-length buckets.
+def _root_of(samples: list[TrainingSample]) -> list[int]:
+    """For each window, the index of the root window whose pass serves it.
 
-    Buckets are visited in ascending length order, each bucket's sample
-    indices are permuted with the provided generator, chunked into batches
-    (a final short batch is allowed), and the resulting batch list is then
-    permuted as a whole so no length systematically trains first.
-    """
-    buckets: dict[int, list[int]] = {}
-    for idx, n in enumerate(lengths):
-        buckets.setdefault(n, []).append(idx)
-    batches: list[list[int]] = []
-    for n in sorted(buckets):
-        members = buckets[n]
-        order = rng.permutation(len(members))
-        shuffled = [members[i] for i in order]
-        for start in range(0, len(shuffled), batch_size):
-            batches.append(shuffled[start : start + batch_size])
-    batch_order = rng.permutation(len(batches))
-    return [batches[i] for i in batch_order]
-
-
-def _stack_batch(samples: list[TrainingSample], idxs: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.stack([samples[i].x for i in idxs], axis=1)  # (T, B, 6)
-    ys = np.stack([samples[i].y for i in idxs], axis=0)  # (B, 70)
-    return xs, ys
-
-
-def _forecasts(
-    params: m.ModelParams, samples: list[TrainingSample], norm: NormStats | None = None
-) -> np.ndarray:
-    """Normalized 70-step forecast of every window, (N, 70) in input order.
-
-    The LSTM starts from zero state at t_o, so a window whose x is a prefix
-    of a longer window's x ends on a hidden state that the longer window's
-    pass already computes. Longest first, each window joins the first root
-    of its (pair_id, handover_id, t_o_ms) group that it is a prefix of
-    (np.array_equal decides; the key only narrows the search) or becomes a
-    root itself. Roots run as one forward_batch per exact length, and each
-    window reads the top layer's hidden state at its own last step. With
-    `norm`, the x windows are raw and are z-scored here.
+    Longest first, each window joins the first root of its (pair_id,
+    handover_id, t_o_ms) group that it is a prefix of (np.array_equal
+    decides; the key only narrows the search) or becomes a root itself.
     """
     order = sorted(range(len(samples)), key=lambda i: -len(samples[i].x))
-    root_of = [0] * len(samples)  # sample index of the window whose pass serves i
+    root_of = [0] * len(samples)
     groups: dict[tuple[str, str, float], list[int]] = {}
     for i in order:
         s = samples[i]
@@ -187,19 +157,78 @@ def _forecasts(
         if root == i:
             roots.append(i)
         root_of[i] = root
+    return root_of
 
+
+def _root_batch(
+    samples: list[TrainingSample], root_of: list[int], members: list[int]
+) -> tuple[np.ndarray, tuple[list[int], list[int]]]:
+    """The distinct roots of `members` as one (T, roots, 6) batch, and each
+    member's (last step, root column) in it. The roots must share one length.
+    """
+    col = {root: c for c, root in enumerate(dict.fromkeys(root_of[i] for i in members))}
+    xs = np.stack([samples[root].x for root in col], axis=1)
+    return xs, ([len(samples[i].x) - 1 for i in members], [col[root_of[i]] for i in members])
+
+
+def batch_indices(
+    root_of: list[int], lengths: list[int], batch_size: int, rng: Rng
+) -> list[list[int]]:
+    """Deterministic epoch batching of windows by their roots.
+
+    root_of[i] is the root of window i (see _root_of) and lengths[i] its
+    length. Roots are bucketed by exact length; buckets are visited in
+    ascending length order and each bucket's roots are permuted with the
+    provided generator. Walking them in that order, a root's windows join
+    the current batch if they fit in batch_size and start the next one
+    otherwise; a root with more than batch_size windows fills whole batches
+    and leaves its remainder as the current one. The batch list is then
+    permuted as a whole so no length systematically trains first.
+    """
+    families: dict[int, list[int]] = {}
+    for i, root in enumerate(root_of):
+        families.setdefault(root, []).append(i)
+    buckets: dict[int, list[int]] = {}
+    for root in families:
+        buckets.setdefault(lengths[root], []).append(root)
+    batches: list[list[int]] = []
+    for n in sorted(buckets):
+        roots = buckets[n]
+        batch: list[int] = []
+        for k in rng.permutation(len(roots)):
+            members = families[roots[k]]
+            if batch and len(batch) + len(members) > batch_size:
+                batches.append(batch)
+                batch = []
+            batch += members
+            while len(batch) > batch_size:  # a root with more than batch_size windows
+                batches.append(batch[:batch_size])
+                batch = batch[batch_size:]
+        batches.append(batch)
+    batch_order = rng.permutation(len(batches))
+    return [batches[i] for i in batch_order]
+
+
+def _forecasts(
+    params: m.ModelParams, samples: list[TrainingSample], norm: NormStats | None = None
+) -> np.ndarray:
+    """Normalized 70-step forecast of every window, (N, 70) in input order.
+
+    Roots (see _root_of) run as one forward_batch per exact length, and each
+    window reads the top layer's hidden state at its own last step. With
+    `norm`, the x windows are raw and are z-scored here.
+    """
+    root_of = _root_of(samples)
     by_len: dict[int, list[int]] = {}
     for i, root in enumerate(root_of):
         by_len.setdefault(len(samples[root].x), []).append(i)
     out = np.empty((len(samples), HORIZON))
     for members in by_len.values():
-        col = {root: c for c, root in enumerate(dict.fromkeys(root_of[i] for i in members))}
-        xs = np.stack([samples[root].x for root in col], axis=1)  # (T, roots, 6)
+        xs, (last, cols) = _root_batch(samples, root_of, members)
         if norm is not None:
             xs = normalize_wrench(xs, norm)
         _, (_, top) = m.forward_batch(xs, params)
-        last = [len(samples[i].x) - 1 for i in members]
-        out[members] = m.head(top.hs[last, [col[root_of[i]] for i in members]], params)
+        out[members] = m.head(top.hs[last, cols], params)
     return out
 
 
@@ -226,10 +255,11 @@ def train(
     `norm` is embedded into the returned parameters so prediction can map
     back to newtons. Each epoch reshuffles with a generator derived only
     from (cfg.seed, epoch index), so identical inputs give byte-identical
-    results. The recorded train loss is the mean over that epoch's batch
-    losses as trained; test loss is a forward pass after the epoch. A batch
-    whose loss or updated weights are not finite raises DataError naming
-    the epoch and the batch.
+    results. Each batch is one backward_batch pass over the distinct roots
+    of its windows (see batch_indices). The recorded train loss is the mean
+    over that epoch's batch losses as trained; test loss is a forward pass
+    after the epoch. A batch whose loss or updated weights are not finite
+    raises DataError naming the epoch and the batch.
     """
     cfg.validate()
     if not train_samples:
@@ -238,14 +268,17 @@ def train(
     params = replace(m.init_params(cfg.seed, hidden=cfg.hidden), norm=norm)
     state = AdamState.init_like(params)
     history = LossHistory()
+    root_of = _root_of(train_samples)
     lengths = [len(s.x) for s in train_samples]
 
     for epoch in range(cfg.epochs):
         rng = Rng(derive_seed(cfg.seed, _EPOCH_STREAM, epoch))
         epoch_loss = 0.0
-        for batch, idxs in enumerate(batch_indices(lengths, cfg.batch_size, rng), start=1):
-            xs, ys = _stack_batch(train_samples, idxs)
-            loss, grads = m.backward_batch(xs, ys, params)
+        for batch, idxs in enumerate(batch_indices(root_of, lengths, cfg.batch_size, rng),
+                                     start=1):
+            xs, ends = _root_batch(train_samples, root_of, idxs)
+            ys = np.stack([train_samples[i].y for i in idxs])
+            loss, grads = m.backward_batch(xs, ys, params, ends)
             if cfg.clip_threshold is not None:
                 grads = clip_gradients(grads, cfg.clip_threshold)
             params, state = adam_step(params, grads, state, cfg)

@@ -250,6 +250,31 @@ def test_train_hidden_too_large_to_allocate_is_data_error(run, tmp_path):
     assert not out.exists()
 
 
+def cut_around_crossing(record, rows=40):
+    """The record's `rows` rows around its grip crossing: too short for any window."""
+    k = int(np.argmin(np.abs(align_handover(record).t_ms)))
+    keep = slice(k - rows // 2, k + rows // 2)
+    return replace(record, t_ms=record.t_ms[keep], wrench=record.wrench[keep],
+                   grip_giver=record.grip_giver[keep], grip_taker=record.grip_taker[keep])
+
+
+@pytest.mark.parametrize("split", ["training", "test"])
+def test_train_split_without_windows_is_data_error(run, tmp_path, split):
+    # Cut handovers still align, but no 70-step horizon fits in them, so
+    # their split yields no windows.
+    records = load_recordings(run.data)
+    cut = [cut_around_crossing(r) if (r.pair_id == "3") == (split == "test") else r
+           for r in records]
+    data = tmp_path / "short.csv"
+    save_recordings(cut, data)
+    out = tmp_path / "o"
+    rc, stdout, err = run_in_process(
+        ["train", "--data", str(data), "--test-pairs", "3", "--config", str(run.cfg_path),
+         "--out", str(out)])
+    assert (rc, stdout, err) == (cli.EXIT_DATA, "", f"error: {split} pairs produced no samples\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("exc_type", [RuntimeError, ContractViolation],
                          ids=lambda t: t.__name__)
 def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch, exc_type):

@@ -247,26 +247,26 @@ def test_backward_batch_matches_per_step_reference(T, B):
         assert max_rel_diff(got, want) < 1e-12, name
 
 
-@pytest.mark.parametrize("given", [1, 4])
-def test_layer_backward_trailing_dhs_equals_zero_padded(given):
-    # backward_batch hands the top layer dL/dh for its last step only. A
-    # dhs that covers the last `given` steps must give the same bits as a
-    # full (T, B, H) dhs that is zero before them.
-    p = m.init_params(4, hidden=8).layer1
-    rng = Rng(derive_seed(4, given))
+@pytest.mark.parametrize("steps,cols", [
+    ([11, 4, 0, 11, 7], [0, 0, 1, 2, 2]),
+    ([5, 5, 11], [1, 1, 0]),
+], ids=["scattered", "repeated"])
+def test_backward_batch_ends_match_per_window_reference(steps, cols):
+    # A window that ends at (step, column) is the first step + 1 steps of
+    # that column. Several windows may read one column, a column may go
+    # unread, and a repeated window counts twice; the top layer then gets
+    # dL/dh at exactly those (step, column) pairs.
+    p = m.init_params(4, hidden=8)
+    rng = Rng(derive_seed(4, len(steps)))
     xs = rng.normals(12 * 3 * 6, 0.0, 1.0).reshape(12, 3, 6)
-    trailing = rng.normals(given * 3 * 8, 0.0, 1.0).reshape(given, 3, 8)
-    padded = np.zeros((12, 3, 8))
-    padded[-given:] = trailing
-    results = []
-    for dhs in (padded, trailing):
-        _, cache = m._layer_forward(xs, p)  # each backward consumes its cache
-        grads = m.init_params(0, hidden=8).layer1  # every entry is overwritten
-        results.append((m._layer_backward(dhs, cache, p, grads), grads))
-    (dxs_a, grads_a), (dxs_b, grads_b) = results
-    assert np.array_equal(dxs_a, dxs_b)
-    for name in ("w_ih", "w_hh", "b"):
-        assert np.array_equal(getattr(grads_a, name), getattr(grads_b, name)), name
+    ys = rng.normals(len(steps) * 70, 0.0, 1.0).reshape(len(steps), 70)
+    loss, grads = m.backward_batch(xs, ys, p, (steps, cols))
+    per = [reference_backward_batch(xs[: t + 1, c : c + 1], ys[n : n + 1], p)
+           for n, (t, c) in enumerate(zip(steps, cols))]
+    assert loss == pytest.approx(np.mean([ref_loss for ref_loss, _ in per]), rel=1e-12)
+    for k, (name, got) in enumerate(m.named_arrays(grads)):
+        want = np.mean([m.named_arrays(g)[k][1] for _, g in per], axis=0)
+        assert max_rel_diff(got, want) < 1e-12, name
 
 
 def test_loss_invariant_under_batch_permutation():

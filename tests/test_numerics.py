@@ -1,9 +1,12 @@
 """Tests for the deterministic PRNG and seed derivation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from gripforecast.errors import ContractViolation
+from gripforecast.model import init_params
 from gripforecast.numerics import Rng, derive_seed
 
 # Reference splitmix64 outputs for seed 1 (the widely published test vector).
@@ -92,3 +95,31 @@ def test_permutation_is_a_permutation():
 
 def test_permutation_deterministic():
     assert Rng(12).permutation(20).tolist() == Rng(12).permutation(20).tolist()
+
+
+def test_bulk_draws_continue_the_scalar_stream():
+    # uniform_matrix and permutation draw their uniforms in one pass; each
+    # must use the same draws as one uniform() call per value, and leave the
+    # stream where those calls would.
+    for seed in (0, 2**64 - 1, 0xDEADBEEF):
+        bulk, loop = Rng(seed), Rng(seed)
+        assert bulk.uniform_matrix(3, 5, -2.0, 0.5).tolist() == [
+            [loop.uniform_range(-2.0, 0.5) for _ in range(5)] for _ in range(3)]
+        n = 9
+        want = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = int(loop.uniform() * (i + 1))
+            want[i], want[j] = want[j], want[i]
+        assert bulk.permutation(n).tolist() == want
+        assert bulk.next_u64() == loop.next_u64()
+    assert Rng(1).permutation(0).tolist() == [] and Rng(1).permutation(1).tolist() == [0]
+
+
+def test_init_params_and_permutation_bytes_are_pinned():
+    # Taken from the one-uniform-per-call generator; the bulk draws keep them.
+    flat = init_params(0, 40).flat.astype("<f8").tobytes()
+    perm = Rng(7).permutation(1000).astype("<i8").tobytes()
+    assert hashlib.sha256(flat).hexdigest() == (
+        "51a8713d9cedeb09bb9c6fc2caed65036e8bea79dd984efbb734d955675287e3")
+    assert hashlib.sha256(perm).hexdigest() == (
+        "e5bd6310619b4e289eaef36e23cacc5531249567d6e3b9ee11cdaa961f61956c")

@@ -16,12 +16,14 @@ from gripforecast.dataset import (
     extract_samples,
     fit_norm_stats,
     normalize_wrench,
+    split_by_pair,
 )
 from gripforecast.errors import ContractViolation
 from gripforecast.numerics import Rng
 from gripforecast.optim import AdamState, TrainConfig, adam_step, batch_indices, train
 from gripforecast.synthgen import generate_dataset
-from lstm_reference import bucketed_forecasts, reference_adam_step, reference_clip
+from lstm_reference import (bucketed_forecasts, reference_adam_step, reference_backward_batch,
+                            reference_clip)
 
 
 def scalar_model(theta: float) -> m.ModelParams:
@@ -211,26 +213,49 @@ def test_train_config_rejects_wrong_types(field, value):
 # batching
 
 
+def families(spec):
+    """root_of and lengths of windows grouped under roots given as
+    (root length, window count): each root is followed by its shorter windows."""
+    root_of, lengths = [], []
+    for length, count in spec:
+        root_of += [len(root_of)] * count
+        lengths += [length - k for k in range(count)]
+    return root_of, lengths
+
+
+# Roots of 32, 62 and 121 steps holding 1 to 7 windows; the 7-window roots do
+# not fit in one batch of 3 or 4.
+FAMILIES = [(32, 6), (62, 2), (32, 1), (121, 7), (62, 6), (32, 3), (121, 2), (62, 4),
+            (32, 6), (121, 1)]
+
+
 def test_batch_indices_cover_every_sample_once():
-    lengths = [32] * 7 + [62] * 5 + [121] * 4
-    batches = batch_indices(lengths, 3, Rng(0))
-    seen = sorted(i for b in batches for i in b)
-    assert seen == list(range(16))
+    root_of, lengths = families(FAMILIES)
+    for batch_size in (1, 3, 4, 6, 30):
+        batches = batch_indices(root_of, lengths, batch_size, Rng(0))
+        assert sorted(i for b in batches for i in b) == list(range(len(root_of)))
+        assert all(1 <= len(b) <= batch_size for b in batches)
+        # A root that fits in one batch is never split.
+        for root in set(root_of):
+            members = [i for i, r in enumerate(root_of) if r == root]
+            if len(members) <= batch_size:
+                assert any(set(members) <= set(b) for b in batches)
 
 
 def test_batch_indices_never_mix_lengths():
-    lengths = [32, 62, 32, 62, 32, 121]
-    for b in batch_indices(lengths, 4, Rng(1)):
-        assert len({lengths[i] for i in b}) == 1
+    root_of, lengths = families(FAMILIES)
+    for batch_size in (3, 4, 30):
+        for b in batch_indices(root_of, lengths, batch_size, Rng(1)):
+            assert len({lengths[root_of[i]] for i in b}) == 1
 
 
 def test_batch_indices_deterministic_in_seed():
-    lengths = [32] * 10 + [62] * 10
-    a = batch_indices(lengths, 3, Rng(5))
-    b = batch_indices(lengths, 3, Rng(5))
-    c = batch_indices(lengths, 3, Rng(6))
+    root_of, lengths = families(FAMILIES)
+    a = batch_indices(root_of, lengths, 4, Rng(5))
+    b = batch_indices(root_of, lengths, 4, Rng(5))
+    c = batch_indices(root_of, lengths, 4, Rng(6))
     assert a == b
-    assert a != c
+    assert {frozenset(batch) for batch in a} != {frozenset(batch) for batch in c}  # roots regroup
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +426,7 @@ def test_last_test_loss_is_evaluate_mse_norm_exactly():
 
 
 # ---------------------------------------------------------------------------
-# shared-prefix forward (evaluate and the per-epoch test loss)
+# shared prefixes: training batches, evaluate and the per-epoch test loss
 
 
 @pytest.fixture(scope="module")
@@ -471,3 +496,50 @@ def test_one_handover_runs_459_recurrent_steps(handovers, monkeypatch):
     steps.clear()
     optim._mean_loss(params, [apply_norm(s, params.norm) for s in one])
     assert sum(steps) == 459
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_LISTS))
+def test_root_batches_match_per_window_reference(handovers, case):
+    # Every batch train runs: one pass over its distinct roots must give the
+    # mean loss and gradient of its windows, each run alone through the
+    # reference BPTT. Batches of 4 split every 6-window family, so a root
+    # also runs for only some of its windows.
+    raw, params = handovers
+    samples = [apply_norm(s, params.norm) for s in SAMPLE_LISTS[case](raw)]
+    root_of = optim._root_of(samples)
+    lengths = [len(s.x) for s in samples]
+    batches = batch_indices(root_of, lengths, 4, Rng(3))
+    assert sorted(i for b in batches for i in b) == list(range(len(samples)))
+    for idxs in batches:
+        xs, ends = optim._root_batch(samples, root_of, idxs)
+        assert xs.shape[1] == len(set(root_of[i] for i in idxs))
+        loss, grads = m.backward_batch(xs, np.stack([samples[i].y for i in idxs]), params, ends)
+        per = [reference_backward_batch(samples[i].x[:, None], samples[i].y[None], params)
+               for i in idxs]
+        assert loss == pytest.approx(np.mean([ref for ref, _ in per]), rel=1e-12, abs=0.0)
+        want = np.mean([g.flat for _, g in per], axis=0)
+        for (name, got), (_, ref) in zip(m.named_arrays(grads),
+                                         m.named_arrays(m.ModelParams(want, params.hidden))):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+def test_reference_epoch_runs_110_root_batches(monkeypatch):
+    # The reference split (seed 7, pairs 12 and 13 held out): 3,300 training
+    # windows of 253,440 steps under 550 roots of 50,490 steps, five roots of
+    # one length per batch of 30 windows.
+    records = [align_handover(r) for r in generate_dataset(13, 10, 7)]
+    train_recs, _ = split_by_pair(records, {"12", "13"})
+    raw = [s for r in train_recs for s in extract_samples(r)]
+    assert len(raw) == 3300 and sum(len(s.x) for s in raw) == 253_440
+    norm = fit_norm_stats(raw)
+    shapes = []
+    real = m.forward_batch
+
+    def counting(xs, p):
+        shapes.append(xs.shape[:2])
+        return real(xs, p)
+
+    monkeypatch.setattr(m, "forward_batch", counting)
+    train([apply_norm(s, norm) for s in raw], [], TrainConfig(epochs=1, hidden=4), norm)
+    assert len(shapes) == 110 and {b for _, b in shapes} == {5}
+    assert sum(t * b for t, b in shapes) == 50_490
