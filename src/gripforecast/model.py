@@ -7,12 +7,16 @@ the final hidden state of the top layer through one affine head to the full
 backpropagation through time; there is no autograd underneath.
 
 The batch is the only interface: forward_batch and backward_batch take
-(T, B, 6) windows that share T, and a single window is the batch B=1, as in
-predict_grip. backward_batch can also read several windows off one column:
-any prefix of a column is itself a window. Each layer keeps only the
-recurrent product h_{t-1} @ W_hh^T (and, in BPTT, its transpose) inside the
-time loop; the input projection, the weight gradients and dL/dx run as
-single GEMMs over all T*B rows.
+(T, B, 6) columns, and a single window is the batch B=1, as in predict_grip.
+Both read several windows off one column, since any prefix of a column is
+itself a window. forward_batch is the inference pass: its columns come
+longest first and may be zero-padded, and at each step only the columns
+still running advance, so padding is never computed. backward_batch runs
+every column for all T steps and keeps the activations BPTT needs. Both
+advance a layer through one cell loop (_Cell.run); only the recurrent
+product h_{t-1} @ W_hh^T (and, in BPTT, its transpose) stays inside the
+time loop, and the input projection, the weight gradients and dL/dx run as
+single GEMMs over many rows.
 """
 
 from __future__ import annotations
@@ -156,45 +160,100 @@ def _per_gate(h: int, on_sigmoid: float, on_g: float) -> np.ndarray:
     return v
 
 
-def _layer_forward(xs: np.ndarray, p: LstmLayerParams) -> tuple[np.ndarray, _LayerCache]:
-    """Run one layer over (T, B, D) inputs; returns hs (T, B, H) and the cache.
+class _Cell:
+    """One layer's LSTM arithmetic for up to `width` columns.
 
-    The input projection X @ W_ih^T + b does not depend on h_{t-1}, so it runs
-    as one (T*B, D) GEMM straight into the gate cache before the loop
-    (Appleyard et al., arXiv:1604.01946); only h_{t-1} @ W_hh^T stays inside.
-    The i, f, o rows of W_ih, W_hh and b are halved first, which is exact in
-    binary floating point, so one tanh pass over the whole 4H block, then
-    `*= [1/2, 1/2, 1, 1/2]` and `+= [1/2, 1/2, 0, 1/2]`, activates all four
-    gates: sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 on i, f, o and tanh on g.
+    The input projection X @ W_ih^T + b does not depend on h_{t-1}, so
+    project() runs it as one GEMM over every row of a block of steps
+    (Appleyard et al., arXiv:1604.01946); only h_{t-1} @ W_hh^T stays in
+    run()'s time loop. The i, f, o rows of W_ih, W_hh and b are halved
+    first, which is exact in binary floating point, so one tanh pass over
+    the whole 4H block, then `*= [1/2, 1/2, 1, 1/2]` and `+= [1/2, 1/2, 0,
+    1/2]`, activates all four gates: sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 on
+    i, f, o and tanh on g.
     """
-    t_steps, batch, d_in = xs.shape
-    h = p.hidden
-    scale, shift = _per_gate(h, 0.5, 1.0), _per_gate(h, 0.5, 0.0)
-    w_ih_t = (p.w_ih * scale[:, None]).T
-    w_hh_t = (p.w_hh * scale[:, None]).T.copy()  # C order: h @ W runs as NN GEMM
-    gates = np.empty((t_steps, batch, 4 * h))
-    cs = np.empty((t_steps, batch, h))
-    hs = np.empty((t_steps, batch, h))
-    np.matmul(xs.reshape(t_steps * batch, d_in), w_ih_t,
-              out=gates.reshape(t_steps * batch, 4 * h))
-    gates += p.b * scale
-    rec = np.empty((batch, 4 * h))
-    fc = np.empty((batch, h))
-    per_gate = (gates[:, :, k * h : (k + 1) * h] for k in range(4))
-    h_prev = c_prev = None
-    for z, i, f, g, o, c_t, h_t in zip(gates, *per_gate, cs, hs):
-        if h_prev is not None:
-            z += np.matmul(h_prev, w_hh_t, out=rec)
-        np.tanh(z, out=z)
-        z *= scale
-        z += shift
-        np.multiply(i, g, out=c_t)
-        if c_prev is not None:
-            c_t += np.multiply(f, c_prev, out=fc)
-        np.tanh(c_t, out=h_t)
-        h_t *= o
-        h_prev, c_prev = h_t, c_t
+
+    def __init__(self, p: LstmLayerParams, width: int):
+        h = self.hidden = p.hidden
+        scale, shift = _per_gate(h, 0.5, 1.0), _per_gate(h, 0.5, 0.0)
+        self.w_ih_t = (p.w_ih * scale[:, None]).T
+        self.w_hh_t = (p.w_hh * scale[:, None]).T.copy()  # C order: h @ W runs as NN GEMM
+        self.b = p.b * scale
+        # Full-shape copies: a same-shape ufunc runs about twice as fast as
+        # a broadcasting one, with the same bits.
+        self.scale = np.tile(scale, (width, 1))
+        self.shift = np.tile(shift, (width, 1))
+        self.rec = np.empty((width, 4 * h))
+        self.fc = np.empty((width, h))
+
+    def narrow(self, width: int) -> None:
+        """Serve only the first `width` columns from now on."""
+        self.scale, self.shift, self.rec, self.fc = (
+            a[:width] for a in (self.scale, self.shift, self.rec, self.fc))
+
+    def project(self, xs: np.ndarray) -> np.ndarray:
+        """Gate pre-activations of (L, w, D) inputs, as a new (L, w, 4H) block."""
+        t_steps, width, d_in = xs.shape
+        z = np.matmul(xs.reshape(t_steps * width, d_in), self.w_ih_t)
+        z += self.b
+        return z.reshape(t_steps, width, 4 * self.hidden)
+
+    def run(self, gates: np.ndarray, h_prev: np.ndarray | None, c_prev: np.ndarray | None,
+            cs: np.ndarray, hs: np.ndarray) -> None:
+        """Advance the columns through the steps of a projected (L, w, 4H) block
+        from state (h_prev, c_prev), zero if None.
+
+        gates is overwritten by the activated i|f|g|o gates, and cs and hs,
+        both (L, w, H), receive the cell and hidden state of every step.
+        """
+        h = self.hidden
+        w_hh_t, scale, shift, rec, fc = self.w_hh_t, self.scale, self.shift, self.rec, self.fc
+        per_gate = (gates[:, :, k * h : (k + 1) * h] for k in range(4))
+        for z, i, f, g, o, c_t, h_t in zip(gates, *per_gate, cs, hs):
+            if h_prev is not None:
+                z += np.matmul(h_prev, w_hh_t, out=rec)
+            np.tanh(z, out=z)
+            z *= scale
+            z += shift
+            np.multiply(i, g, out=c_t)
+            if c_prev is not None:
+                c_t += np.multiply(f, c_prev, out=fc)
+            np.tanh(c_t, out=h_t)
+            h_t *= o
+            h_prev, c_prev = h_t, c_t
+
+
+def _layer_forward(xs: np.ndarray, p: LstmLayerParams) -> tuple[np.ndarray, _LayerCache]:
+    """Run one layer over all T steps of (T, B, D) inputs; returns hs (T, B, H)
+    and the cache BPTT needs: the activated gates, cs and hs of every step.
+    """
+    t_steps, batch, _ = xs.shape
+    cell = _Cell(p, batch)
+    gates = cell.project(xs)
+    cs = np.empty((t_steps, batch, p.hidden))
+    hs = np.empty((t_steps, batch, p.hidden))
+    cell.run(gates, None, None, cs, hs)
     return hs, _LayerCache(xs, gates, cs, hs)
+
+
+def _packed_layer(xs: np.ndarray, p: LstmLayerParams,
+                  runs: list[tuple[int, int, int]]) -> np.ndarray:
+    """Run one layer over a packed (T, B, D) batch; returns hs (T, B, H).
+
+    Each run (t0, t1, w) advances the first w columns through steps t0 to
+    t1 - 1, with one input projection for the whole run; widths only
+    shrink from one run to the next. Entries of hs outside the runs are
+    left unwritten, and xs is not read there.
+    """
+    t_steps, batch, _ = xs.shape
+    cell = _Cell(p, batch)
+    cs = np.empty((t_steps, batch, p.hidden))
+    hs = np.empty((t_steps, batch, p.hidden))
+    for t0, t1, w in runs:
+        cell.narrow(w)
+        prev = (hs[t0 - 1, :w], cs[t0 - 1, :w]) if t0 else (None, None)
+        cell.run(cell.project(xs[t0:t1, :w]), *prev, cs[t0:t1, :w], hs[t0:t1, :w])
+    return hs
 
 
 def _layer_backward(
@@ -262,24 +321,59 @@ def head(h: np.ndarray, p: ModelParams) -> np.ndarray:
     return h @ p.head_w.T + p.head_b
 
 
-def forward_batch(
-    xs: np.ndarray, p: ModelParams
-) -> tuple[np.ndarray, tuple[_LayerCache, _LayerCache]]:
-    """Run the stacked encoder + head over a (T, B, 6) batch; y is (B, 70)."""
+Ends = tuple[list[int], list[int]]
+
+
+def _windows(xs: np.ndarray, ends: Ends | None,
+             caller: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """xs as float64, and each window's end step and column as index arrays.
+
+    Window n is the first ends[0][n] + 1 steps of column ends[1][n] of the
+    (T, B, 6) batch xs; without `ends`, window n is all of column n.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[0] < 1 or xs.shape[2] != INPUT_DIM:
         raise ContractViolation(
-            f"forward_batch expects a non-empty (T, B, {INPUT_DIM}) "
-            f"input, got shape {xs.shape}"
+            f"{caller} expects a non-empty (T, B, {INPUT_DIM}) input, got shape {xs.shape}"
         )
-    hs1, cache1 = _layer_forward(xs, p.layer1)
-    hs2, cache2 = _layer_forward(hs1, p.layer2)
-    return head(hs2[-1], p), (cache1, cache2)
+    t_steps, batch, _ = xs.shape
+    if ends is None:
+        return xs, np.full(batch, t_steps - 1), np.arange(batch)
+    steps, cols = (np.asarray(e, dtype=np.intp) for e in ends)
+    if (steps.ndim != 1 or steps.shape != cols.shape or np.any(steps < 0)
+            or np.any(steps >= t_steps) or np.any(cols < 0) or np.any(cols >= batch)):
+        raise ContractViolation(
+            f"{caller}: every window needs an end step in [0, {t_steps}) and a "
+            f"column in [0, {batch})"
+        )
+    return xs, steps, cols
+
+
+def forward_batch(xs: np.ndarray, p: ModelParams, ends: Ends | None = None) -> np.ndarray:
+    """The inference pass: (N, 70) forecasts of the windows of a (T, B, 6) batch.
+
+    Windows are given by `ends` as in backward_batch, and row n of the result
+    is window n's forecast. Column c runs for 1 + its largest end step, and
+    the columns must come longest first, so at step t the columns still
+    running are the first width[t]. Only those advance, with one input
+    projection per run of steps of one width; steps past a column's end
+    (padding) are never computed or read. No BPTT cache is kept.
+    """
+    xs, steps, cols = _windows(xs, ends, "forward_batch")
+    lengths = np.zeros(xs.shape[1], dtype=np.intp)
+    np.maximum.at(lengths, cols, steps + 1)
+    if np.any(lengths[1:] > lengths[:-1]):
+        raise ContractViolation("forward_batch needs its columns longest first")
+    ends_of_runs = sorted(set(lengths.tolist()) - {0})
+    runs = [(t0, t1, int(np.count_nonzero(lengths >= t1)))
+            for t0, t1 in zip([0, *ends_of_runs], ends_of_runs)]
+    hs1 = _packed_layer(xs, p.layer1, runs)
+    hs2 = _packed_layer(hs1, p.layer2, runs)
+    return head(hs2[steps, cols], p)
 
 
 def backward_batch(
-    xs: np.ndarray, y_true: np.ndarray, p: ModelParams,
-    ends: tuple[list[int], list[int]] | None = None,
+    xs: np.ndarray, y_true: np.ndarray, p: ModelParams, ends: Ends | None = None
 ) -> tuple[float, ModelParams]:
     """Mean-over-windows MSE loss and its exact gradients.
 
@@ -287,15 +381,16 @@ def backward_batch(
     and y_true[n] is its target; without `ends`, window n is all of column n.
     The LSTM starts from zero state, so a window's forecast is the head at
     its last step of the column's pass, and windows that are prefixes of one
-    column share that pass. The loss averages over horizon steps and
-    windows, so the returned gradients equal the mean of the per-window
-    gradients. Each gradient GEMM and sum writes straight into its view of
-    one new vector.
+    column share that pass. Every column runs for all T steps. The loss
+    averages over horizon steps and windows, so the returned gradients equal
+    the mean of the per-window gradients. Each gradient GEMM and sum writes
+    straight into its view of one new vector.
     """
+    xs, steps, cols = _windows(xs, ends, "backward_batch")
     y_true = np.asarray(y_true, dtype=np.float64)
-    _, (cache1, cache2) = forward_batch(xs, p)
+    hs1, cache1 = _layer_forward(xs, p.layer1)
+    _, cache2 = _layer_forward(hs1, p.layer2)
     t_steps, batch, h = cache2.hs.shape
-    steps, cols = ([t_steps - 1] * batch, list(range(batch))) if ends is None else ends
     h_read = cache2.hs[steps, cols]  # (N, H): the top-layer states the head reads
     y_hat = head(h_read, p)
     if y_true.shape != y_hat.shape:
@@ -337,5 +432,5 @@ def predict_grip(x_raw: np.ndarray, p: ModelParams) -> np.ndarray:
         )
     if not np.all(np.isfinite(x_raw)):
         raise ContractViolation("predict_grip input contains non-finite values")
-    y_norm, _ = forward_batch(normalize_wrench(x_raw, p.norm)[:, None, :], p)
+    y_norm = forward_batch(normalize_wrench(x_raw, p.norm)[:, None, :], p)
     return denormalize_grip(y_norm[0], p.norm)

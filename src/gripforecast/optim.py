@@ -7,24 +7,27 @@ The LSTM starts from zero state at t_o, so a window whose x is a prefix of
 a longer window's x of the same handover and t_o ends on a hidden state
 that the longer window's pass already computes. `_root_of` groups every
 window under such a root window, and each recurrent pass runs over roots
-only: training, the per-epoch test loss and evaluate alike. A training
-batch holds at most batch_size windows, whole roots where they fit, and
-all its roots have one exact length, so nothing is padded and the batch
-gradient is exactly the mean of its windows' gradients. evaluate returns
-its metrics next to one (N, 70) array of forecasts in newtons, row i for
-sample i; it does not judge their finiteness, which the caller checks.
+only. A training batch holds at most batch_size windows, whole roots where
+they fit, and all its roots have one exact length, so nothing is padded
+and the batch gradient is exactly the mean of its windows' gradients.
+evaluate and the per-epoch test loss run every root of their sample list
+as one packed forward_batch, longest first, zero-padded; the test windows
+are grouped once per train call. evaluate returns its metrics next to one
+(N, 70) array of forecasts in newtons, row i for sample i; it does not
+judge their finiteness, which the caller checks.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import model as m
-from .dataset import (HORIZON, NormStats, TrainingSample, denormalize_grip, normalize_grip,
+from .dataset import (NormStats, TrainingSample, denormalize_grip, normalize_grip,
                       normalize_wrench)
 from .errors import ContractViolation, DataError
 from .numerics import derive_seed, Rng
@@ -161,13 +164,18 @@ def _root_of(samples: list[TrainingSample]) -> list[int]:
 
 
 def _root_batch(
-    samples: list[TrainingSample], root_of: list[int], members: list[int]
-) -> tuple[np.ndarray, tuple[list[int], list[int]]]:
+    samples: list[TrainingSample], root_of: list[int], members: Iterable[int]
+) -> tuple[np.ndarray, m.Ends]:
     """The distinct roots of `members` as one (T, roots, 6) batch, and each
-    member's (last step, root column) in it. The roots must share one length.
+    member's (last step, root column) in it. Roots come longest first, in
+    order of first appearance within one length, and shorter roots are
+    zero-padded to the longest.
     """
-    col = {root: c for c, root in enumerate(dict.fromkeys(root_of[i] for i in members))}
-    xs = np.stack([samples[root].x for root in col], axis=1)
+    roots = sorted(dict.fromkeys(root_of[i] for i in members), key=lambda r: -len(samples[r].x))
+    col = {root: c for c, root in enumerate(roots)}
+    xs = np.zeros((len(samples[roots[0]].x), len(roots), m.INPUT_DIM))
+    for c, root in enumerate(roots):
+        xs[: len(samples[root].x), c] = samples[root].x
     return xs, ([len(samples[i].x) - 1 for i in members], [col[root_of[i]] for i in members])
 
 
@@ -209,38 +217,21 @@ def batch_indices(
     return [batches[i] for i in batch_order]
 
 
-def _forecasts(
-    params: m.ModelParams, samples: list[TrainingSample], norm: NormStats | None = None
-) -> np.ndarray:
-    """Normalized 70-step forecast of every window, (N, 70) in input order.
-
-    Roots (see _root_of) run as one forward_batch per exact length, and each
-    window reads the top layer's hidden state at its own last step. With
-    `norm`, the x windows are raw and are z-scored here.
-    """
-    root_of = _root_of(samples)
-    by_len: dict[int, list[int]] = {}
-    for i, root in enumerate(root_of):
-        by_len.setdefault(len(samples[root].x), []).append(i)
-    out = np.empty((len(samples), HORIZON))
-    for members in by_len.values():
-        xs, (last, cols) = _root_batch(samples, root_of, members)
-        if norm is not None:
-            xs = normalize_wrench(xs, norm)
-        _, (_, top) = m.forward_batch(xs, params)
-        out[members] = m.head(top.hs[last, cols], params)
-    return out
+def _all_roots(samples: list[TrainingSample]) -> tuple[np.ndarray, m.Ends]:
+    """Every window of `samples` read off one packed batch of its roots."""
+    return _root_batch(samples, _root_of(samples), range(len(samples)))
 
 
-def _mean_loss(params: m.ModelParams, samples: list[TrainingSample]) -> float:
-    """MSE over a normalized sample list (forward only): the expression
-    evaluate uses for mse_norm. Nested windows of one handover and t_o share
-    one recurrent pass (see _forecasts).
+def _test_loss(samples: list[TrainingSample]) -> Callable[[m.ModelParams], float]:
+    """MSE over a normalized sample list as a function of the weights: the
+    expression evaluate uses for mse_norm. The windows are grouped under
+    their roots once, here, so each call is one forward_batch.
     """
     if not samples:
-        return float("nan")
-    y_hat_norm = _forecasts(params, samples)
-    return float(np.mean((y_hat_norm - np.stack([s.y for s in samples])) ** 2))
+        return lambda params: float("nan")
+    xs, ends = _all_roots(samples)
+    ys = np.stack([s.y for s in samples])
+    return lambda params: float(np.mean((m.forward_batch(xs, params, ends) - ys) ** 2))
 
 
 def train(
@@ -270,6 +261,7 @@ def train(
     history = LossHistory()
     root_of = _root_of(train_samples)
     lengths = [len(s.x) for s in train_samples]
+    test_loss = _test_loss(test_samples)
 
     for epoch in range(cfg.epochs):
         rng = Rng(derive_seed(cfg.seed, _EPOCH_STREAM, epoch))
@@ -290,7 +282,7 @@ def train(
                 )
             epoch_loss += loss * len(idxs)
         history.train.append(epoch_loss / len(train_samples))
-        history.test.append(_mean_loss(params, test_samples))
+        history.test.append(test_loss(params))
     return params, history
 
 
@@ -309,8 +301,8 @@ def evaluate(params: m.ModelParams, samples: list[TrainingSample]) -> EvalMetric
     Reports the mean MSE in normalized units, the mean MSE in N^2, and the
     mean absolute error of the final horizon step in newtons (how well the
     forecast lands at zero grip). The forecasts in newtons are returned as
-    one (N, 70) array whose row i belongs to samples[i]. Nested windows of one handover and t_o share one
-    recurrent pass (see _forecasts).
+    one (N, 70) array whose row i belongs to samples[i]. All windows come
+    from one packed forward_batch over their roots (see _root_of).
     """
     if not samples:
         raise ContractViolation("evaluate needs a non-empty sample list")
@@ -318,7 +310,8 @@ def evaluate(params: m.ModelParams, samples: list[TrainingSample]) -> EvalMetric
         raise ContractViolation("model has no normalization stats attached")
     stats = params.norm
 
-    y_hat_norm = _forecasts(params, samples, stats)
+    xs, ends = _all_roots(samples)
+    y_hat_norm = m.forward_batch(normalize_wrench(xs, stats), params, ends)
     actual = np.stack([s.y for s in samples])  # (N, 70) newtons
     predicted = denormalize_grip(y_hat_norm, stats)
     return EvalMetrics(

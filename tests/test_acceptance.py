@@ -71,10 +71,10 @@ def _fd_worst_rel_err(seed: int, hidden: int, seq_len: int, eps: float) -> float
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            yp, _ = m.forward_batch(x[:, None, :], params)
+            yp = m.forward_batch(x[:, None, :], params)
             loss_plus = float(np.mean((yp - y) ** 2))
             flat[i] = orig - eps
-            ym, _ = m.forward_batch(x[:, None, :], params)
+            ym = m.forward_batch(x[:, None, :], params)
             loss_minus = float(np.mean((ym - y) ** 2))
             flat[i] = orig
             fd = (loss_plus - loss_minus) / (2.0 * eps)

@@ -135,7 +135,7 @@ def test_forward_matches_scalar_loop_oracle():
     # T=151 is the 1250 ms stream window, the longest recurrence served.
     for seed, T, hidden in [(s, 11, 5) for s in range(5)] + [(8, 151, 40)]:
         params, x, _ = random_case(seed, T=T, hidden=hidden)
-        got, _ = m.forward_batch(x[:, None, :], params)
+        got = m.forward_batch(x[:, None, :], params)
         want = scalar_loop_forward(x, params)
         assert np.max(np.abs(got[0] - want)) < 1e-12
 
@@ -144,19 +144,19 @@ def test_forward_batch_matches_per_sample_forward():
     params, _, _ = random_case(0, T=7)
     rng = Rng(99)
     xs = rng.normals(7 * 4 * 6, 0.0, 0.5).reshape(7, 4, 6)
-    y_batch, _ = m.forward_batch(xs, params)
+    y_batch = m.forward_batch(xs, params)
     for b in range(4):
-        y_one, _ = m.forward_batch(xs[:, b : b + 1, :], params)
+        y_one = m.forward_batch(xs[:, b : b + 1, :], params)
         assert np.max(np.abs(y_batch[b] - y_one[0])) < 1e-12
 
 
 def test_head_bias_linearity():
     # Shifting head_b shifts the output by exactly that amount.
     params, x, _ = random_case(2, T=6)
-    y0, _ = m.forward_batch(x[:, None, :], params)
+    y0 = m.forward_batch(x[:, None, :], params)
     shifted = replace(params, flat=params.flat.copy())
     shifted.head_b += 1.25
-    y1, _ = m.forward_batch(x[:, None, :], shifted)
+    y1 = m.forward_batch(x[:, None, :], shifted)
     assert np.allclose(y1 - y0, 1.25, atol=1e-12)
 
 
@@ -168,6 +168,50 @@ def test_forward_rejects_bad_input():
         m.forward_batch(np.zeros((5, 1, 4)), params)
 
 
+def packed_case(pad):
+    # Three columns of 9, 6 and 2 steps, longest first, padded to T=11 with
+    # `pad`; seven windows, two on the same (end step, column) and none
+    # ending on the last two steps.
+    params, _, _ = random_case(5, hidden=4)
+    lengths = [9, 6, 2]
+    xs = np.full((11, 3, 6), pad)
+    for c, n in enumerate(lengths):
+        xs[:n, c] = Rng(derive_seed(40, c)).normals(n * 6, 0.0, 0.5).reshape(n, 6)
+    ends = ([8, 3, 0, 5, 1, 1, 5], [0, 0, 0, 1, 2, 2, 1])
+    return params, xs, ends
+
+
+def test_packed_forward_matches_each_window_alone():
+    params, xs, ends = packed_case(0.0)
+    got = m.forward_batch(xs, params, ends)
+    assert got.shape == (7, 70)
+    for n, (step, col) in enumerate(zip(*ends)):
+        want = m.forward_batch(xs[: step + 1, col : col + 1], params)[0]
+        assert np.max(np.abs(got[n] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.filterwarnings("error")
+def test_packed_forward_never_reads_padding():
+    params, xs, ends = packed_case(0.0)
+    want = m.forward_batch(xs, params, ends)
+    for pad in (np.nan, 1e308, np.inf):
+        _, padded, _ = packed_case(pad)
+        with np.errstate(all="raise"):
+            assert np.array_equal(m.forward_batch(padded, params, ends), want)
+
+
+def test_packed_forward_rejects_bad_windows():
+    params, xs, (steps, cols) = packed_case(0.0)
+    with pytest.raises(ContractViolation, match="longest first"):
+        m.forward_batch(xs[:, ::-1], params, (steps, [2 - c for c in cols]))
+    with pytest.raises(ContractViolation):
+        m.forward_batch(xs, params, ([11], [0]))
+    with pytest.raises(ContractViolation):
+        m.forward_batch(xs, params, ([-1], [0]))
+    with pytest.raises(ContractViolation):
+        m.forward_batch(xs, params, ([0], [3]))
+
+
 # ---------------------------------------------------------------------------
 # backward: exactness
 
@@ -177,10 +221,10 @@ def fd_gradient(params, x, y, name, index, eps=1e-6):
     flat = arrays[name].reshape(-1)
     orig = flat[index]
     flat[index] = orig + eps
-    yp, _ = m.forward_batch(x[:, None, :], params)
+    yp = m.forward_batch(x[:, None, :], params)
     lp = float(np.mean((yp - y) ** 2))
     flat[index] = orig - eps
-    ym, _ = m.forward_batch(x[:, None, :], params)
+    ym = m.forward_batch(x[:, None, :], params)
     lm = float(np.mean((ym - y) ** 2))
     flat[index] = orig
     return (lp - lm) / (2 * eps)
@@ -189,7 +233,7 @@ def fd_gradient(params, x, y, name, index, eps=1e-6):
 def test_backward_loss_value():
     params, x, y = random_case(1)
     loss, _ = m.backward_batch(x[:, None, :], y[None, :], params)
-    y_hat, _ = m.forward_batch(x[:, None, :], params)
+    y_hat = m.forward_batch(x[:, None, :], params)
     assert loss == pytest.approx(float(np.mean((y_hat - y) ** 2)), abs=1e-15)
 
 
@@ -285,7 +329,7 @@ def test_loss_invariant_under_batch_permutation():
 def test_gradients_zero_where_output_cannot_depend():
     # With targets equal to predictions, residual is 0 -> all gradients 0.
     params, x, _ = random_case(3)
-    y_hat, _ = m.forward_batch(x[:, None, :], params)
+    y_hat = m.forward_batch(x[:, None, :], params)
     loss, grads = m.backward_batch(x[:, None, :], y_hat, params)
     assert loss == 0.0
     for _, g in m.named_arrays(grads):
@@ -311,7 +355,7 @@ def test_predict_grip_round_trips_normalization():
     x_raw = rng.normals(32 * 6, 0.0, 1.0).reshape(32, 6) + np.arange(6)
     got = m.predict_grip(x_raw, params)
     x_norm = (x_raw - params.norm.wrench_mean) / params.norm.wrench_std
-    y_norm, _ = m.forward_batch(x_norm[:, None, :], params)
+    y_norm = m.forward_batch(x_norm[:, None, :], params)
     want = y_norm[0] * 3.0 + 7.0
     assert np.max(np.abs(got - want)) < 1e-9
 

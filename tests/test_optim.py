@@ -473,29 +473,31 @@ def test_forward_passes_match_per_length_reference(handovers, case):
     normed = [apply_norm(s, norm) for s in samples]
     ys = np.stack([s.y for s in normed])
     ref_loss = float(np.mean(np.mean((ref - ys) ** 2, axis=1)))
-    assert optim._mean_loss(params, normed) == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+    assert optim._test_loss(normed)(params) == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
     assert metrics.mse_norm == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
 
 
 def test_one_handover_runs_459_recurrent_steps(handovers, monkeypatch):
     # Default policy: 30 windows, 5 t_o values x 6 t_e values. The five t_e=0
-    # windows (32, 62, 92, 122 and 151 steps) hold the other 25 as prefixes.
+    # windows (32, 62, 92, 122 and 151 steps) hold the other 25 as prefixes,
+    # and run as the columns of one packed pass of 151 steps.
     raw, params = handovers
     one = [s for s in raw if s.handover_id == raw[0].handover_id]
     assert len(one) == 30 and sum(len(s.x) for s in one) == 2304
-    steps = []
+    calls = []
     real = m.forward_batch
 
-    def counting(xs, p):
-        steps.append(xs.shape[0])
-        return real(xs, p)
+    def counting(xs, p, ends):
+        lengths = [1 + max(t for t, c in zip(*ends) if c == col) for col in range(xs.shape[1])]
+        calls.append((xs.shape[0], lengths))
+        return real(xs, p, ends)
 
     monkeypatch.setattr(m, "forward_batch", counting)
     optim.evaluate(params, one)
-    assert sorted(steps) == [32, 62, 92, 122, 151] and sum(steps) == 459
-    steps.clear()
-    optim._mean_loss(params, [apply_norm(s, params.norm) for s in one])
-    assert sum(steps) == 459
+    assert calls == [(151, [151, 122, 92, 62, 32])] and sum(calls[0][1]) == 459
+    calls.clear()
+    optim._test_loss([apply_norm(s, params.norm) for s in one])(params)
+    assert calls == [(151, [151, 122, 92, 62, 32])]
 
 
 @pytest.mark.parametrize("case", sorted(SAMPLE_LISTS))
@@ -533,13 +535,13 @@ def test_reference_epoch_runs_110_root_batches(monkeypatch):
     assert len(raw) == 3300 and sum(len(s.x) for s in raw) == 253_440
     norm = fit_norm_stats(raw)
     shapes = []
-    real = m.forward_batch
+    real = m.backward_batch
 
-    def counting(xs, p):
+    def counting(xs, ys, p, ends):
         shapes.append(xs.shape[:2])
-        return real(xs, p)
+        return real(xs, ys, p, ends)
 
-    monkeypatch.setattr(m, "forward_batch", counting)
+    monkeypatch.setattr(m, "backward_batch", counting)
     train([apply_norm(s, norm) for s in raw], [], TrainConfig(epochs=1, hidden=4), norm)
     assert len(shapes) == 110 and {b for _, b in shapes} == {5}
     assert sum(t * b for t, b in shapes) == 50_490
