@@ -359,9 +359,23 @@ def _load_train_config(path: str | None) -> TrainConfig:
     return cfg
 
 
+def _check_out_dir(out: str) -> None:
+    """Refuse an --out that cannot become a directory, before any work runs.
+
+    The nearest existing path among --out and its ancestors must be a
+    directory. Nothing is created here: the outputs' mkdir runs only once
+    they are ready, so a failed run leaves no directory behind.
+    """
+    path = Path(out)
+    existing = next(a for a in (path, *path.parents) if a.exists() or a.is_symlink())
+    if not existing.is_dir():
+        raise DataError(f"--out {out}: {existing} exists and is not a directory")
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_train_config(args.config)
     test_pairs = _parse_test_pairs(args.test_pairs)
+    _check_out_dir(args.out)
     train_recs, test_recs = split_by_pair(load_recordings(args.data), test_pairs)
     if not train_recs:
         raise DataError("no pairs left for training after removing test pairs")
@@ -396,6 +410,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     params, _ = load_checkpoint(args.model)
     test_pairs = _parse_test_pairs(args.test_pairs)
+    _check_out_dir(args.out)
     _, test_recs = split_by_pair(load_recordings(args.data), test_pairs)
     test_raw = _windows(test_recs)
     if not test_raw:

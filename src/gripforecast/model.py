@@ -13,10 +13,11 @@ itself a window. forward_batch is the inference pass: its columns come
 longest first and may be zero-padded, and at each step only the columns
 still running advance, so padding is never computed. backward_batch runs
 every column for all T steps and keeps the activations BPTT needs. Both
-advance a layer through one cell loop (_Cell.run); only the recurrent
-product h_{t-1} @ W_hh^T (and, in BPTT, its transpose) stays inside the
-time loop, and the input projection, the weight gradients and dL/dx run as
-single GEMMs over many rows.
+advance a layer through one cell loop (_Cell.run). Only the recurrent
+product h_{t-1} @ W_hh^T (and, in BPTT, dz_t @ W_hh) and the element-wise
+work that needs it stay inside the time loop: the input projection, the
+weight gradients and dL/dx run as single GEMMs over many rows, and BPTT
+computes its other element-wise operands per block of steps.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ class _Cell:
         per_gate = (gates[:, :, k * h : (k + 1) * h] for k in range(4))
         for z, i, f, g, o, c_t, h_t in zip(gates, *per_gate, cs, hs):
             if h_prev is not None:
-                z += np.matmul(h_prev, w_hh_t, out=rec)
+                z += np.dot(h_prev, w_hh_t, out=rec)
             np.tanh(z, out=z)
             z *= scale
             z += shift
@@ -256,6 +257,9 @@ def _packed_layer(xs: np.ndarray, p: LstmLayerParams,
     return hs
 
 
+BPTT_BLOCK = 32  # steps per hoisted block of _layer_backward
+
+
 def _layer_backward(
     dhs: np.ndarray, cache: _LayerCache, p: LstmLayerParams, grads: LstmLayerParams
 ) -> np.ndarray:
@@ -265,9 +269,19 @@ def _layer_backward(
     layer above, or from the head at the steps it reads. Every step also gets
     dL/dh through the recurrence.
 
-    Consumes the cache: once step t has read its gates, dL/dz for that step
-    is written over cache.gates[t], and cache.cs[t] is replaced by its tanh.
-    Only dz_t @ W_hh and the element-wise work stay in the time loop; dW_ih,
+    The steps run newest first in blocks of BPTT_BLOCK (the oldest block may
+    be shorter). Before each block, the operands that do not depend on the
+    incoming gradient are computed for all of its steps at once: tanh(c_t),
+    k_t = (1 - tanh^2 c_t) * o_t, the activation derivative y(alpha - y) +
+    gamma, and the partners [g_t, c_{t-1}, i_t] that dL/dc_t multiplies into
+    the i, f and g slots. The time loop then keeps 8 numpy calls per step,
+    dz_t @ W_hh among them, and every element sees the same operations in
+    the same order as a plain per-step loop. Blocks rather than whole-T
+    arrays keep the buffers at (BPTT_BLOCK, B) size, about 0.46 MB at B=5,
+    H=40, whatever T is; training with whole-T buffers raised the peak RSS
+    of the stream workloads' set-up.
+
+    Consumes the cache: dL/dz for step t is written over cache.gates[t]. dW_ih,
     dW_hh and db are then single GEMMs or a reduction over the (T*B, 4H)
     block of dL/dz, written into `grads`. That block is returned, so a caller
     that needs dL/dx takes it with one more GEMM, dz @ W_ih.
@@ -277,37 +291,46 @@ def _layer_backward(
     # d(activation)/dz = y * (alpha - y) + gamma: y(1 - y) on the sigmoid
     # gates, 1 - y^2 on g.
     alpha, gamma = _per_gate(h, 1.0, 0.0), _per_gate(h, 0.0, 1.0)
+    n = min(BPTT_BLOCK, t_steps)
+    tanh_cs = np.empty((n, batch, h))
+    ks = np.empty((n, batch, h))
+    dacts = np.empty((n, batch, 4 * h))
+    partners = np.empty((n, batch, 3, h))  # [g_t, c_{t-1}, i_t]
     dh = np.zeros((batch, h))  # dL/dh_t: dz_{t+1} @ W_hh, plus dhs where given
     dc = np.zeros((batch, h))  # dL/dc_t, then carried to step t - 1
+    dc_b = dc[:, None, :]
     tmp = np.empty((batch, h))
-    dact = np.empty((batch, 4 * h))
-    up = np.empty((batch, 4 * h))  # dL/d(activation) over the i|f|g|o block
-    up_i, up_f, up_g, up_o = (up[:, k * h : (k + 1) * h] for k in range(4))
-    rev = gates[::-1]
-    per_gate = (rev[:, :, k * h : (k + 1) * h] for k in range(4))
-    c_prevs = [*cs[-2::-1], None]
-    for y, i, f, g, o, c_t, c_prev, dh_t in zip(rev, *per_gate, cs[::-1], c_prevs,
-                                                dhs[::-1]):
-        tanh_c = np.tanh(c_t, out=c_t)  # c_t was last read as c_prev one step ago
-        dh += dh_t
-        np.multiply(dh, tanh_c, out=up_o)
-        np.multiply(tanh_c, tanh_c, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
-        tmp *= o
-        tmp *= dh
-        dc += tmp
-        np.multiply(dc, g, out=up_i)
-        if c_prev is None:
-            up_f.fill(0.0)
-        else:
-            np.multiply(dc, c_prev, out=up_f)
-        np.multiply(dc, i, out=up_g)
-        dc *= f
+    up = np.empty((batch, 4, h))  # dL/d(activation) over the i|f|g|o block
+    up_ifg, up_o, up_all = up[:, :3], up[:, 3], up.reshape(batch, 4 * h)
+    w_hh = p.w_hh
+    for t1 in range(t_steps, 0, -BPTT_BLOCK):
+        t0 = max(t1 - BPTT_BLOCK, 0)
+        y = gates[t0:t1]
+        tanh_c, k, dact, partner = (a[: t1 - t0] for a in (tanh_cs, ks, dacts, partners))
+        np.tanh(cs[t0:t1], out=tanh_c)
+        np.multiply(tanh_c, tanh_c, out=k)
+        np.subtract(1.0, k, out=k)
+        k *= y[:, :, 3 * h :]
         np.subtract(alpha, y, out=dact)
         dact *= y
         dact += gamma
-        np.multiply(up, dact, out=y)  # y now holds dL/dz_t
-        np.matmul(y, p.w_hh, out=dh)
+        partner[:, :, 0] = y[:, :, 2 * h : 3 * h]
+        partner[1:, :, 1] = cs[t0 : t1 - 1]
+        partner[0, :, 1] = cs[t0 - 1] if t0 else 0.0
+        partner[:, :, 2] = y[:, :, :h]
+        for z, f, tanh_t, k_t, dact_t, partner_t, dh_t in zip(
+                y[::-1], y[::-1, :, h : 2 * h], tanh_c[::-1], k[::-1], dact[::-1],
+                partner[::-1], dhs[t0:t1][::-1]):
+            dh += dh_t
+            np.multiply(dh, tanh_t, out=up_o)
+            np.multiply(k_t, dh, out=tmp)
+            dc += tmp
+            np.multiply(dc_b, partner_t, out=up_ifg)
+            dc *= f
+            np.multiply(up_all, dact_t, out=z)  # z now holds dL/dz_t
+            np.dot(z, w_hh, out=dh)
+    # c_{-1} is zero, so step 0's f slot is +0.0; dc * 0.0 may have left -0.0.
+    gates[0, :, h : 2 * h] = 0.0
 
     dz = gates.reshape(t_steps * batch, 4 * h)
     np.matmul(dz.T, xs.reshape(t_steps * batch, -1), out=grads.w_ih)

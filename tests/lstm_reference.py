@@ -3,7 +3,9 @@
 These are the plain per-step formulations: one cell step on vectors, and
 BPTT with every product (weight gradients included) taken inside the time
 loop. They are slow on purpose; the model hoists the non-recurrent GEMMs
-out of the loop and must agree with these up to summation order. Adam and
+out of the loop and must agree with these up to summation order. One more
+BPTT, unhoisted_layer_backward, is the model's earlier time loop kept as
+it was: the model must match it bit for bit. Adam and
 global-norm clipping are here array by array, keyed by parameter name; the
 optimizer runs them over the one flat vector.
 """
@@ -119,6 +121,59 @@ def reference_layer_backward(
         dxs[t] = dz @ p.w_ih
         dh_rec = dz @ p.w_hh
     return dxs, m.LstmLayerParams(w_ih=dw_ih, w_hh=dw_hh, b=db)
+
+
+def unhoisted_layer_backward(
+    dhs: np.ndarray, cache: m._LayerCache, p: m.LstmLayerParams, grads: m.LstmLayerParams
+) -> np.ndarray:
+    """m._layer_backward before its block hoisting: about 17 numpy calls per step.
+
+    Same signature and contract; it also writes tanh(c_t) over cache.cs[t].
+    Every element's operations run in the same order as in the model, so
+    the returned dL/dz and the gradients must agree bit for bit.
+    """
+    gates, cs, hs, xs = cache.gates, cache.cs, cache.hs, cache.xs
+    t_steps, batch, h = hs.shape
+    # d(activation)/dz = y * (alpha - y) + gamma: y(1 - y) on the sigmoid
+    # gates, 1 - y^2 on g.
+    alpha, gamma = m._per_gate(h, 1.0, 0.0), m._per_gate(h, 0.0, 1.0)
+    dh = np.zeros((batch, h))  # dL/dh_t: dz_{t+1} @ W_hh, plus dhs where given
+    dc = np.zeros((batch, h))  # dL/dc_t, then carried to step t - 1
+    tmp = np.empty((batch, h))
+    dact = np.empty((batch, 4 * h))
+    up = np.empty((batch, 4 * h))  # dL/d(activation) over the i|f|g|o block
+    up_i, up_f, up_g, up_o = (up[:, k * h : (k + 1) * h] for k in range(4))
+    rev = gates[::-1]
+    per_gate = (rev[:, :, k * h : (k + 1) * h] for k in range(4))
+    c_prevs = [*cs[-2::-1], None]
+    for y, i, f, g, o, c_t, c_prev, dh_t in zip(rev, *per_gate, cs[::-1], c_prevs,
+                                                dhs[::-1]):
+        tanh_c = np.tanh(c_t, out=c_t)  # c_t was last read as c_prev one step ago
+        dh += dh_t
+        np.multiply(dh, tanh_c, out=up_o)
+        np.multiply(tanh_c, tanh_c, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        tmp *= o
+        tmp *= dh
+        dc += tmp
+        np.multiply(dc, g, out=up_i)
+        if c_prev is None:
+            up_f.fill(0.0)
+        else:
+            np.multiply(dc, c_prev, out=up_f)
+        np.multiply(dc, i, out=up_g)
+        dc *= f
+        np.subtract(alpha, y, out=dact)
+        dact *= y
+        dact += gamma
+        np.multiply(up, dact, out=y)  # y now holds dL/dz_t
+        np.matmul(y, p.w_hh, out=dh)
+
+    dz = gates.reshape(t_steps * batch, 4 * h)
+    np.matmul(dz.T, xs.reshape(t_steps * batch, -1), out=grads.w_ih)
+    np.matmul(dz[batch:].T, hs[:-1].reshape((t_steps - 1) * batch, h), out=grads.w_hh)
+    np.sum(dz, axis=0, out=grads.b)
+    return dz
 
 
 def reference_backward_batch(

@@ -275,6 +275,29 @@ def test_train_split_without_windows_is_data_error(run, tmp_path, split):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["out", "ancestor"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_out_naming_a_file_is_data_error_before_any_work(run, tmp_path, capsys, monkeypatch,
+                                                         command, where):
+    # --out, or its nearest existing ancestor, is a file: one line naming
+    # --out, before the recordings are read or any epoch or evaluate runs.
+    def never(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+
+    for name in ("load_recordings", "train", "evaluate"):
+        monkeypatch.setattr(cli, name, never)
+    taken = tmp_path / "taken"
+    taken.write_text("x")
+    out = taken if where == "out" else taken / "sub" / "dir"
+    first = (["train", "--config", str(run.cfg_path)] if command == "train"
+             else ["eval", "--model", str(run.ckpt)])
+    rc = cli.main(first + ["--data", str(run.data), "--test-pairs", "3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DATA
+    assert err == f"error: --out {out}: {taken} exists and is not a directory\n"
+    assert taken.read_text() == "x"
+
+
 @pytest.mark.parametrize("exc_type", [RuntimeError, ContractViolation],
                          ids=lambda t: t.__name__)
 def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch, exc_type):

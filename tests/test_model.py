@@ -1,5 +1,6 @@
 """Tests for the 2-layer LSTM forecaster: forward oracles and exact BPTT."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from lstm_reference import (
     reference_backward_batch,
     scalar_loop_forward,
     sigmoid,
+    unhoisted_layer_backward,
 )
 
 
@@ -311,6 +313,56 @@ def test_backward_batch_ends_match_per_window_reference(steps, cols):
     for k, (name, got) in enumerate(m.named_arrays(grads)):
         want = np.mean([m.named_arrays(g)[k][1] for _, g in per], axis=0)
         assert max_rel_diff(got, want) < 1e-12, name
+
+
+@pytest.mark.parametrize("T,B", [(1, 5), (31, 5), (32, 5), (33, 5), (92, 5), (151, 5),
+                                 (151, 1)])
+def test_layer_backward_matches_unhoisted_loop_bit_for_bit(T, B):
+    # Both layers, at shapes on and around the 32-step block edges, at the
+    # training (B=5) and stream (B=1) widths. Bytes, not values, are
+    # compared, so step 0's f slot must hold the +0.0 the unhoisted loop
+    # writes there, not the -0.0 that dL/dc * 0.0 gives.
+    p = m.init_params(T + B, hidden=40)
+    rng = Rng(derive_seed(T, B, 11))
+    xs = rng.normals(T * B * 6, 0.0, 1.0).reshape(T, B, 6)
+    dhs = rng.normals(T * B * 40, 0.0, 1.0).reshape(T, B, 40)
+
+    def run(backward):
+        grads = m.ModelParams(np.zeros_like(p.flat), 40)
+        hs1, cache1 = m._layer_forward(xs, p.layer1)
+        _, cache2 = m._layer_forward(hs1, p.layer2)
+        dz2 = backward(dhs, cache2, p.layer2, grads.layer2)
+        dz1 = backward(dhs, cache1, p.layer1, grads.layer1)
+        return dz1, dz2, grads
+
+    *got, grads = run(m._layer_backward)
+    *want, ref_grads = run(unhoisted_layer_backward)
+    for dz, ref in zip(got, want):
+        assert dz.tobytes() == ref.tobytes()
+        assert not np.any(np.signbit(dz[:B, 40:80]))
+    for layer, ref in ((grads.layer1, ref_grads.layer1), (grads.layer2, ref_grads.layer2)):
+        for name in ("w_ih", "w_hh", "b"):
+            assert getattr(layer, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+def test_layer_backward_buffers_stay_block_sized():
+    # The stream workloads' peak RSS is set while they train their
+    # checkpoint during set-up, so BPTT hoists its operands per 32-step
+    # block: about 0.46 MB at (151, 5), H=40, where whole-T arrays would
+    # take about 2.2 MB.
+    p = m.init_params(2, hidden=40)
+    rng = Rng(12)
+    xs = rng.normals(151 * 5 * 40, 0.0, 1.0).reshape(151, 5, 40)
+    dhs = rng.normals(151 * 5 * 40, 0.0, 1.0).reshape(151, 5, 40)
+    _, cache = m._layer_forward(xs, p.layer2)
+    grads = m.ModelParams(np.zeros_like(p.flat), 40)
+    tracemalloc.start()
+    try:
+        m._layer_backward(dhs, cache, p.layer2, grads.layer2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 600_000
 
 
 def test_loss_invariant_under_batch_permutation():

@@ -23,7 +23,7 @@ from gripforecast.numerics import Rng
 from gripforecast.optim import AdamState, TrainConfig, adam_step, batch_indices, train
 from gripforecast.synthgen import generate_dataset
 from lstm_reference import (bucketed_forecasts, reference_adam_step, reference_backward_batch,
-                            reference_clip)
+                            reference_clip, unhoisted_layer_backward)
 
 
 def scalar_model(theta: float) -> m.ModelParams:
@@ -290,6 +290,24 @@ def test_train_deterministic():
     assert h1.train == h2.train and h1.test == h2.test
     for (_, a), (_, b) in zip(m.named_arrays(p1), m.named_arrays(p2)):
         assert np.array_equal(a, b)
+
+
+def test_train_matches_unhoisted_bptt_bit_for_bit(monkeypatch):
+    # One hidden-40 epoch over two handovers of each of three pairs, then
+    # the same with the unhoisted BPTT loop: every weight and loss agrees.
+    records = [align_handover(r) for r in generate_dataset(3, 2, 5)]
+    train_recs, test_recs = split_by_pair(records, {"3"})
+    raw = [s for r in train_recs for s in extract_samples(r)]
+    norm = fit_norm_stats(raw)
+    train_s = [apply_norm(s, norm) for s in raw]
+    test_s = [apply_norm(s, norm) for r in test_recs for s in extract_samples(r)]
+    cfg = TrainConfig(epochs=1, hidden=40)
+    p, hist = train(train_s, test_s, cfg, norm)
+    monkeypatch.setattr(m, "_layer_backward", unhoisted_layer_backward)
+    ref_p, ref_hist = train(train_s, test_s, cfg, norm)
+    assert p.flat.tobytes() == ref_p.flat.tobytes()
+    assert np.array([hist.train, hist.test]).tobytes() == (
+        np.array([ref_hist.train, ref_hist.test]).tobytes())
 
 
 def test_train_history_lengths_equal_epochs():
