@@ -6,7 +6,9 @@ sits on the first sample at-or-after the downward crossing of
 (giver - taker) grip force. Training samples pair a wrench window X over
 [t_o, t_e] with the 70 giver grip values Y over the following 583.33 ms
 (y covers (t_e, t_f]; X and Y meet at the t_e boundary and do not share a
-sample).
+sample). Normalization stats are fit over the training windows read in
+pieces of bounded size, never concatenated, with the bits numpy gives for
+the concatenation.
 """
 
 from __future__ import annotations
@@ -425,21 +427,100 @@ def split_by_pair(
     return train, test
 
 
+# Values that fit_norm_stats reads into one piece: 128 kB. At least 128,
+# numpy's pairwise block, for _pairwise_sum to replay numpy's splits.
+_FIT_CHUNK = 1 << 14
+
+
+class _Reader:
+    """The concatenation of arrays along axis 0, read front to back in pieces
+    of at most `rows` rows, so that a piece holds at most _FIT_CHUNK values.
+
+    read(n) copies the next n rows into rows 1 to n of one reused buffer
+    (minus `center` and squared, if given) and returns buffer rows 0 to n;
+    row 0 is the caller's to fill.
+    """
+
+    def __init__(self, arrays: list[np.ndarray], center: np.ndarray | float | None):
+        row_shape = arrays[0].shape[1:]
+        self.rows = _FIT_CHUNK // math.prod(row_shape)
+        self._buf = np.empty((self.rows + 1, *row_shape))
+        self._arrays = iter(arrays)
+        self._rest = arrays[0][:0]
+        self._center = center
+
+    def read(self, n: int) -> np.ndarray:
+        block = self._buf[: n + 1]
+        parts = []
+        while n > len(self._rest):
+            parts.append(self._rest)
+            n -= len(self._rest)
+            self._rest = next(self._arrays)
+        parts.append(self._rest[:n])
+        self._rest = self._rest[n:]
+        np.concatenate(parts, out=block[1:])
+        if self._center is not None:
+            block[1:] -= self._center
+            block[1:] *= block[1:]
+        return block
+
+
+def _row_sum(arrays: list[np.ndarray], center: np.ndarray | None = None) -> np.ndarray:
+    """np.add.reduce(axis=0) over the concatenated (rows, 6) arrays, bit for bit.
+
+    numpy adds the rows of a C-ordered 2-d array in order onto a zero row,
+    so reducing each piece with the running sum as its first row makes the
+    same additions in the same order.
+    """
+    reader = _Reader(arrays, center)
+    total = np.zeros(arrays[0].shape[1])
+    left = sum(map(len, arrays))
+    while left:
+        block = reader.read(min(reader.rows, left))
+        block[0] = total
+        total = np.add.reduce(block, axis=0)
+        left -= len(block) - 1
+    return total
+
+
+def _pairwise_sum(arrays: list[np.ndarray], center: float | None = None) -> float:
+    """np.add.reduce over the concatenated 1-d arrays, bit for bit.
+
+    numpy sums one contiguous float64 array pairwise: it splits n values at
+    n // 2 cut down to a multiple of 8, down to blocks of 128. The splits
+    above _FIT_CHUNK values are replayed here; below that, np.add.reduce of
+    one piece is that subtree itself.
+    """
+    reader = _Reader(arrays, center)
+
+    def tree(n: int) -> float:
+        if n <= reader.rows:
+            return float(np.add.reduce(reader.read(n)[1:]))
+        half = n // 2 - n // 2 % 8
+        return tree(half) + tree(n - half)
+
+    return tree(sum(map(len, arrays)))
+
+
 def fit_norm_stats(train: list[TrainingSample]) -> NormStats:
     """Per-channel mean/std over the training samples' X (wrench) and Y (grip).
 
-    Population std (ddof=0). A channel whose mean or std is not finite (its
-    values overflow float64) or whose std is below 1e-12 is rejected by name.
+    Population std (ddof=0). The stats are those of the concatenated
+    windows, mean and std as numpy computes them, bit for bit, but the
+    windows are read in pieces of _FIT_CHUNK values and never concatenated.
+    A channel whose mean or std is not finite (its values overflow float64)
+    or whose std is below 1e-12 is rejected by name.
     """
     if not train:
         raise ContractViolation("fit_norm_stats needs a non-empty training set")
-    xs = np.concatenate([s.x for s in train], axis=0)
-    ys = np.concatenate([s.y for s in train])
+    xs = [s.x for s in train]
+    ys = [s.y for s in train]
+    n_x, n_y = sum(len(x) for x in xs), sum(len(y) for y in ys)
     with np.errstate(over="ignore", invalid="ignore"):  # checked by name below
-        wrench_mean = xs.mean(axis=0)
-        wrench_std = xs.std(axis=0)
-        grip_mean = float(ys.mean())
-        grip_std = float(ys.std())
+        wrench_mean = _row_sum(xs) / n_x
+        wrench_std = np.sqrt(_row_sum(xs, wrench_mean) / n_x)
+        grip_mean = _pairwise_sum(ys) / n_y
+        grip_std = math.sqrt(_pairwise_sum(ys, grip_mean) / n_y)
     channels = zip(WRENCH_COLUMNS + (GRIP_CHANNEL,), [*wrench_mean, grip_mean],
                    [*wrench_std, grip_std])
     for col, mean, std in channels:

@@ -11,13 +11,16 @@ The batch is the only interface: forward_batch and backward_batch take
 Both read several windows off one column, since any prefix of a column is
 itself a window. forward_batch is the inference pass: its columns come
 longest first and may be zero-padded, and at each step only the columns
-still running advance, so padding is never computed. backward_batch runs
-every column for all T steps and keeps the activations BPTT needs. Both
-advance a layer through one cell loop (_Cell.run). Only the recurrent
-product h_{t-1} @ W_hh^T (and, in BPTT, dz_t @ W_hh) and the element-wise
-work that needs it stay inside the time loop: the input projection, the
-weight gradients and dL/dx run as single GEMMs over many rows, and BPTT
-computes its other element-wise operands per block of steps.
+still running advance, so padding is never computed. It runs both layers
+over one block of steps at a time and keeps no (T, B, H) array, so its
+memory is bounded by the block (FORWARD_BLOCK_BYTES of gates), not by T.
+backward_batch runs every column for all T steps and keeps the
+activations BPTT needs. Both advance a layer through one cell loop
+(_Cell.run). Only the recurrent product h_{t-1} @ W_hh^T (and, in BPTT,
+dz_t @ W_hh) and the element-wise work that needs it stay inside the time
+loop: the input projection, the weight gradients and dL/dx run as single
+GEMMs over many rows, and BPTT computes its other element-wise operands
+per block of steps.
 """
 
 from __future__ import annotations
@@ -192,12 +195,15 @@ class _Cell:
         self.scale, self.shift, self.rec, self.fc = (
             a[:width] for a in (self.scale, self.shift, self.rec, self.fc))
 
-    def project(self, xs: np.ndarray) -> np.ndarray:
-        """Gate pre-activations of (L, w, D) inputs, as a new (L, w, 4H) block."""
+    def project(self, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Gate pre-activations of (L, w, D) inputs as an (L, w, 4H) block:
+        written into `out` (contiguous) if given, else a new array."""
         t_steps, width, d_in = xs.shape
-        z = np.matmul(xs.reshape(t_steps * width, d_in), self.w_ih_t)
+        rows, g = t_steps * width, 4 * self.hidden
+        z = np.matmul(xs.reshape(rows, d_in), self.w_ih_t,
+                      out=None if out is None else out.reshape(rows, g))
         z += self.b
-        return z.reshape(t_steps, width, 4 * self.hidden)
+        return z.reshape(t_steps, width, g)
 
     def run(self, gates: np.ndarray, h_prev: np.ndarray | None, c_prev: np.ndarray | None,
             cs: np.ndarray, hs: np.ndarray) -> None:
@@ -237,26 +243,6 @@ def _layer_forward(xs: np.ndarray, p: LstmLayerParams) -> tuple[np.ndarray, _Lay
     return hs, _LayerCache(xs, gates, cs, hs)
 
 
-def _packed_layer(xs: np.ndarray, p: LstmLayerParams,
-                  runs: list[tuple[int, int, int]]) -> np.ndarray:
-    """Run one layer over a packed (T, B, D) batch; returns hs (T, B, H).
-
-    Each run (t0, t1, w) advances the first w columns through steps t0 to
-    t1 - 1, with one input projection for the whole run; widths only
-    shrink from one run to the next. Entries of hs outside the runs are
-    left unwritten, and xs is not read there.
-    """
-    t_steps, batch, _ = xs.shape
-    cell = _Cell(p, batch)
-    cs = np.empty((t_steps, batch, p.hidden))
-    hs = np.empty((t_steps, batch, p.hidden))
-    for t0, t1, w in runs:
-        cell.narrow(w)
-        prev = (hs[t0 - 1, :w], cs[t0 - 1, :w]) if t0 else (None, None)
-        cell.run(cell.project(xs[t0:t1, :w]), *prev, cs[t0:t1, :w], hs[t0:t1, :w])
-    return hs
-
-
 BPTT_BLOCK = 32  # steps per hoisted block of _layer_backward
 
 
@@ -272,14 +258,18 @@ def _layer_backward(
     The steps run newest first in blocks of BPTT_BLOCK (the oldest block may
     be shorter). Before each block, the operands that do not depend on the
     incoming gradient are computed for all of its steps at once: tanh(c_t),
-    k_t = (1 - tanh^2 c_t) * o_t, the activation derivative y(alpha - y) +
-    gamma, and the partners [g_t, c_{t-1}, i_t] that dL/dc_t multiplies into
-    the i, f and g slots. The time loop then keeps 8 numpy calls per step,
-    dz_t @ W_hh among them, and every element sees the same operations in
-    the same order as a plain per-step loop. Blocks rather than whole-T
-    arrays keep the buffers at (BPTT_BLOCK, B) size, about 0.46 MB at B=5,
-    H=40, whatever T is; training with whole-T buffers raised the peak RSS
-    of the stream workloads' set-up.
+    k_t = (1 - tanh^2 c_t) * o_t, the activation derivative (y(1 - y) on
+    the sigmoid gates, 1 - y^2 on g) and the partners [g_t, c_{t-1}, i_t]
+    that dL/dc_t multiplies into the i, f and g slots. The time loop then
+    keeps 8 numpy calls per step, dz_t @ W_hh among them, and every element
+    sees the same operations in the same order as a plain per-step loop
+    (up to the order of a product's two factors, which IEEE multiplication
+    ignores). Blocks rather than whole-T arrays keep the buffers at
+    (BPTT_BLOCK, B) size, about 0.46 MB at B=5, H=40, whatever T is;
+    training with whole-T buffers raised the peak RSS of the stream
+    workloads' set-up. The hoist gives no ufunc a broadcast or strided
+    operand, on which numpy would allocate an iterator buffer of up to
+    64 kB: strided gate slices are copied into contiguous memory first.
 
     Consumes the cache: dL/dz for step t is written over cache.gates[t]. dW_ih,
     dW_hh and db are then single GEMMs or a reduction over the (T*B, 4H)
@@ -288,9 +278,6 @@ def _layer_backward(
     """
     gates, cs, hs, xs = cache.gates, cache.cs, cache.hs, cache.xs
     t_steps, batch, h = hs.shape
-    # d(activation)/dz = y * (alpha - y) + gamma: y(1 - y) on the sigmoid
-    # gates, 1 - y^2 on g.
-    alpha, gamma = _per_gate(h, 1.0, 0.0), _per_gate(h, 0.0, 1.0)
     n = min(BPTT_BLOCK, t_steps)
     tanh_cs = np.empty((n, batch, h))
     ks = np.empty((n, batch, h))
@@ -307,13 +294,18 @@ def _layer_backward(
         t0 = max(t1 - BPTT_BLOCK, 0)
         y = gates[t0:t1]
         tanh_c, k, dact, partner = (a[: t1 - t0] for a in (tanh_cs, ks, dacts, partners))
+        spare = partner.reshape(-1)[: k.size].reshape(k.shape)  # until partner is filled
         np.tanh(cs[t0:t1], out=tanh_c)
-        np.multiply(tanh_c, tanh_c, out=k)
-        np.subtract(1.0, k, out=k)
-        k *= y[:, :, 3 * h :]
-        np.subtract(alpha, y, out=dact)
+        np.multiply(tanh_c, tanh_c, out=spare)
+        np.subtract(1.0, spare, out=spare)
+        k[...] = y[:, :, 3 * h :]
+        k *= spare
+        np.subtract(1.0, y, out=dact)
         dact *= y
-        dact += gamma
+        spare[...] = y[:, :, 2 * h : 3 * h]
+        spare *= spare
+        np.subtract(1.0, spare, out=spare)
+        dact[:, :, 2 * h : 3 * h] = spare
         partner[:, :, 0] = y[:, :, 2 * h : 3 * h]
         partner[1:, :, 1] = cs[t0 : t1 - 1]
         partner[0, :, 1] = cs[t0 - 1] if t0 else 0.0
@@ -372,15 +364,30 @@ def _windows(xs: np.ndarray, ends: Ends | None,
     return xs, steps, cols
 
 
+FORWARD_BLOCK_BYTES = 1 << 20  # gate buffer of one forward_batch block
+
+
 def forward_batch(xs: np.ndarray, p: ModelParams, ends: Ends | None = None) -> np.ndarray:
     """The inference pass: (N, 70) forecasts of the windows of a (T, B, 6) batch.
 
     Windows are given by `ends` as in backward_batch, and row n of the result
     is window n's forecast. Column c runs for 1 + its largest end step, and
     the columns must come longest first, so at step t the columns still
-    running are the first width[t]. Only those advance, with one input
-    projection per run of steps of one width; steps past a column's end
-    (padding) are never computed or read. No BPTT cache is kept.
+    running are the first width[t]. Only those advance: steps past a
+    column's end (padding) are never computed or read. No BPTT cache is kept.
+
+    Each run of steps of one width w is cut into blocks of
+    FORWARD_BLOCK_BYTES // (w * 4H * 8) steps. Both layers advance over a
+    block before the next one starts, each with one input projection into
+    a gate buffer shared by every block and both layers, and the (h, c) of
+    both layers carry over from block to block. The top layer's h is copied
+    out only at the windows' end steps, so memory per call is bounded by
+    the block, not by T; at B=1 a window of up to 819 steps (H=40) is one
+    block. OpenBLAS rounds a product of 1 to 7 rows differently from a
+    taller one, so a block projects at least 8 rows unless its whole run
+    has fewer: it takes at least ceil(8 / w) steps, and a shorter last
+    block joins the one before it. The forecasts are then those of whole-
+    layer passes, bit for bit.
     """
     xs, steps, cols = _windows(xs, ends, "forward_batch")
     lengths = np.zeros(xs.shape[1], dtype=np.intp)
@@ -388,11 +395,38 @@ def forward_batch(xs: np.ndarray, p: ModelParams, ends: Ends | None = None) -> n
     if np.any(lengths[1:] > lengths[:-1]):
         raise ContractViolation("forward_batch needs its columns longest first")
     ends_of_runs = sorted(set(lengths.tolist()) - {0})
-    runs = [(t0, t1, int(np.count_nonzero(lengths >= t1)))
-            for t0, t1 in zip([0, *ends_of_runs], ends_of_runs)]
-    hs1 = _packed_layer(xs, p.layer1, runs)
-    hs2 = _packed_layer(hs1, p.layer2, runs)
-    return head(hs2[steps, cols], p)
+    h = p.hidden
+    blocks = []  # (first step, end step, width)
+    for t0, t1 in zip([0, *ends_of_runs], ends_of_runs):
+        w = int(np.count_nonzero(lengths >= t1))
+        n = max(-(-8 // w), FORWARD_BLOCK_BYTES // (w * 4 * h * 8))
+        cuts = list(range(t0, t1, n))
+        if len(cuts) > 1 and (t1 - cuts[-1]) * w < 8:
+            cuts.pop()  # the short tail joins the block before it
+        blocks += [(b0, b1, w) for b0, b1 in zip(cuts, [*cuts[1:], t1])]
+    size = max((b1 - b0) * w for b0, b1, w in blocks)
+    gate_buf, c_buf, h_buf = np.empty(size * 4 * h), np.empty(size * h), np.empty(size * h)
+    cells = _Cell(p.layer1, lengths.size), _Cell(p.layer2, lengths.size)
+    carry = np.empty((2, 2, lengths.size, h))  # (h, c) after the last block, per layer
+    order = np.argsort(steps, kind="stable")  # windows by end step
+    by_step, by_col = steps[order], cols[order]
+    his = np.searchsorted(by_step, [b1 for _, b1, _ in blocks]).tolist()
+    h_top = np.empty((len(steps), h))
+    lo = 0
+    for (b0, b1, w), hi in zip(blocks, his):
+        gates, cs, hs = (buf[: (b1 - b0) * w * k].reshape(b1 - b0, w, k)
+                         for buf, k in ((gate_buf, 4 * h), (c_buf, h), (h_buf, h)))
+        inputs = xs[b0:b1, :w]
+        for cell, state in zip(cells, carry):
+            cell.narrow(w)
+            h_prev, c_prev = state[:, :w] if b0 else (None, None)
+            cell.run(cell.project(inputs, gates), h_prev, c_prev, cs, hs)
+            if b1 < ends_of_runs[-1]:  # a next block starts from this state
+                state[0, :w], state[1, :w] = hs[-1], cs[-1]
+            inputs = hs  # read into the gates before the next layer overwrites it
+        h_top[order[lo:hi]] = hs[by_step[lo:hi] - b0, by_col[lo:hi]]
+        lo = hi
+    return head(h_top, p)
 
 
 def backward_batch(

@@ -5,7 +5,9 @@ BPTT with every product (weight gradients included) taken inside the time
 loop. They are slow on purpose; the model hoists the non-recurrent GEMMs
 out of the loop and must agree with these up to summation order. One more
 BPTT, unhoisted_layer_backward, is the model's earlier time loop kept as
-it was: the model must match it bit for bit. Adam and
+it was, and packed_forward_batch is the model's earlier inference pass,
+each layer run over every step before the next: the model must match both
+bit for bit. Adam and
 global-norm clipping are here array by array, keyed by parameter name; the
 optimizer runs them over the one flat vector.
 """
@@ -197,6 +199,41 @@ def reference_backward_batch(
     grads.head_w[:] = dy.T @ hs2[-1]
     grads.head_b[:] = dy.sum(axis=0)
     return loss, grads
+
+
+def packed_layer(xs: np.ndarray, p: m.LstmLayerParams,
+                 runs: list[tuple[int, int, int]]) -> np.ndarray:
+    """Run one layer over a packed (T, B, D) batch; returns hs (T, B, H).
+
+    Each run (t0, t1, w) advances the first w columns through steps t0 to
+    t1 - 1, with one input projection for the whole run; widths only
+    shrink from one run to the next. Entries of hs outside the runs are
+    left unwritten, and xs is not read there.
+    """
+    t_steps, batch, _ = xs.shape
+    cell = m._Cell(p, batch)
+    cs = np.empty((t_steps, batch, p.hidden))
+    hs = np.empty((t_steps, batch, p.hidden))
+    for t0, t1, w in runs:
+        cell.narrow(w)
+        prev = (hs[t0 - 1, :w], cs[t0 - 1, :w]) if t0 else (None, None)
+        cell.run(cell.project(xs[t0:t1, :w]), *prev, cs[t0:t1, :w], hs[t0:t1, :w])
+    return hs
+
+
+def packed_forward_batch(xs: np.ndarray, p: m.ModelParams,
+                         ends: m.Ends | None = None) -> np.ndarray:
+    """m.forward_batch as a whole-layer pass: layer 1 over every run, then
+    layer 2, each keeping (T, B, H) states."""
+    xs, steps, cols = m._windows(xs, ends, "forward_batch")
+    lengths = np.zeros(xs.shape[1], dtype=np.intp)
+    np.maximum.at(lengths, cols, steps + 1)
+    ends_of_runs = sorted(set(lengths.tolist()) - {0})
+    runs = [(t0, t1, int(np.count_nonzero(lengths >= t1)))
+            for t0, t1 in zip([0, *ends_of_runs], ends_of_runs)]
+    hs1 = packed_layer(xs, p.layer1, runs)
+    hs2 = packed_layer(hs1, p.layer2, runs)
+    return m.head(hs2[steps, cols], p)
 
 
 def bucketed_forecasts(xs: list[np.ndarray], p: m.ModelParams) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for recording IO, alignment, window extraction, and normalization."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loader_reference
+from gripforecast import dataset
 from gripforecast.dataset import (
     CSV_COLUMNS,
     HORIZON,
@@ -603,6 +605,60 @@ def test_fit_norm_stats_matches_hand_computation():
     assert np.allclose(stats.wrench_std, xs.std(axis=0), atol=0, rtol=0)
     assert stats.grip_mean == ys.mean()
     assert stats.grip_std == ys.std()
+
+
+@pytest.mark.parametrize("chunk", [128, 1000, dataset._FIT_CHUNK])
+def test_fit_norm_stats_matches_concatenation_over_mixed_records(monkeypatch, chunk):
+    # 300 windows of 27 lengths from ten records, 21,000 grip values: the
+    # pieces cut windows, and the grip sum replays one to eight levels of
+    # numpy's pairwise splits, yet the stats are the concatenation's, bit
+    # for bit.
+    monkeypatch.setattr(dataset, "_FIT_CHUNK", chunk)
+    samples = []
+    for k in range(10):
+        rec = make_record(pair=str(k))
+        rec.wrench *= np.linspace(0.5, 40.0, 6) * (1 + k)
+        rec.wrench += np.linspace(-30.0, 30.0, 6) + k
+        rec.grip_giver *= 1.0 + 0.1 * k
+        samples += extract_samples(rec)
+    assert len(samples) == 300 and len({len(s.x) for s in samples}) == 27
+    stats = fit_norm_stats(samples)
+    xs = np.concatenate([s.x for s in samples], axis=0)
+    ys = np.concatenate([s.y for s in samples])
+    assert stats.wrench_mean.tobytes() == xs.mean(axis=0).tobytes()
+    assert stats.wrench_std.tobytes() == xs.std(axis=0).tobytes()
+    assert stats.grip_mean == ys.mean() and stats.grip_std == ys.std()
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_norm_stats_rejects_overflowing_channel_by_name():
+    # Finite values near float64's largest overflow the sum; the channel is
+    # named and no numpy warning escapes.
+    rec = make_record()
+    rec.wrench[150:250, 4] = 1.7e308
+    with pytest.raises(DataError, match="ty_Nm.*not finite"):
+        fit_norm_stats(extract_samples(rec))
+    rec = make_record()
+    rec.grip_giver[200:260] = -1.7e308
+    with pytest.raises(DataError, match="grip_giver_N.*not finite"):
+        fit_norm_stats(extract_samples(rec))
+
+
+def test_fit_norm_stats_never_concatenates_the_windows():
+    # 2,000 windows of 100 rows, views into one recording: concatenating
+    # them would take 9.6 MB (and numpy's std one more copy); the pieces
+    # take 128 kB.
+    base = np.random.default_rng(4).normal(0.0, 1.0, size=(2_100, 6))
+    grip = np.random.default_rng(5).normal(5.0, 1.0, size=2_100)
+    samples = [TrainingSample("1", "1", 0.0, 0.0, base[i : i + 100], grip[i : i + HORIZON])
+               for i in range(2_000)]
+    tracemalloc.start()
+    try:
+        fit_norm_stats(samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_fit_norm_stats_rejects_degenerate_channel_by_name():

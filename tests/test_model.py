@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 from gripforecast import model as m
-from gripforecast.dataset import NormStats
+from gripforecast.dataset import (NormStats, align_handover, apply_norm, extract_samples,
+                                  fit_norm_stats, split_by_pair)
 from gripforecast.errors import ContractViolation
 from gripforecast.numerics import Rng, derive_seed
+from gripforecast.optim import _all_roots
+from gripforecast.synthgen import generate_dataset
 from lstm_reference import (
     cell_forward,
+    packed_forward_batch,
     reference_backward_batch,
     scalar_loop_forward,
     sigmoid,
@@ -212,6 +216,85 @@ def test_packed_forward_rejects_bad_windows():
         m.forward_batch(xs, params, ([-1], [0]))
     with pytest.raises(ContractViolation):
         m.forward_batch(xs, params, ([0], [3]))
+
+
+@pytest.fixture(scope="module")
+def reference_roots():
+    # The 600 held-out windows of the reference split (seed 7, pairs 12 and
+    # 13), z-scored, as the packed (151, 100) batch of roots evaluate runs.
+    records = [align_handover(r) for r in generate_dataset(13, 10, 7)]
+    train_recs, test_recs = split_by_pair(records, {"12", "13"})
+    norm = fit_norm_stats([s for r in train_recs for s in extract_samples(r)])
+    return _all_roots([apply_norm(s, norm) for r in test_recs for s in extract_samples(r)])
+
+
+def narrow_packed_case(seed):
+    # Twelve columns of 1 to 60 steps, so runs go down to width 1, with two
+    # windows on each column.
+    rng = Rng(derive_seed(seed, 3))
+    lengths = sorted((int(k) + 1 for k in rng.permutation(60)[:12]), reverse=True)
+    xs = rng.normals(lengths[0] * 12 * 6, 0.0, 1.0).reshape(lengths[0], 12, 6)
+    steps = [e for n in lengths for e in (n - 1, n // 3)]
+    return xs, (steps, [c for c in range(12) for _ in range(2)])
+
+
+def test_forward_batch_matches_whole_layer_pass_bit_for_bit(reference_roots):
+    params = m.init_params(3, hidden=40)
+    xs, ends = reference_roots
+    assert xs.shape == (151, 100, 6) and len(ends[0]) == 600
+    rng = Rng(31)
+    cases = [(xs, ends), narrow_packed_case(0)] + [
+        (rng.normals(t * b * 6, 0.0, 1.0).reshape(t, b, 6), None)
+        for t, b in ((151, 1), (32, 1), (200, 30))]
+    for x, e in cases:
+        got = m.forward_batch(x, params, e)
+        assert got.tobytes() == packed_forward_batch(x, params, e).tobytes()
+
+
+def test_forward_batch_short_blocks_change_no_bit(monkeypatch, reference_roots):
+    # Blocks of 1 to 3 steps at the widest run: block edges fall inside
+    # runs and next to run ends, and each block carries both layers' state
+    # over. No block projects fewer than 8 rows unless its whole run does,
+    # since OpenBLAS rounds a product of 1 to 7 rows differently.
+    params = m.init_params(3, hidden=40)
+    cases = [reference_roots, narrow_packed_case(1)]
+    want = [packed_forward_batch(xs, params, ends) for xs, ends in cases]
+    blocks = []
+    real_project = m._Cell.project
+
+    def project(cell, inputs, out=None):
+        blocks.append(inputs.shape[:2])
+        return real_project(cell, inputs, out)
+
+    monkeypatch.setattr(m._Cell, "project", project)
+    for steps in (1, 2, 3, None):
+        # at width 100 a block of `steps` steps, or 1 step at every width
+        monkeypatch.setattr(m, "FORWARD_BLOCK_BYTES", steps * 100 * 4 * 40 * 8 if steps else 1)
+        for (xs, ends), ref in zip(cases, want):
+            blocks.clear()
+            assert m.forward_batch(xs, params, ends).tobytes() == ref.tobytes()
+            runs = {}  # width -> its run's blocks, in steps; widths differ run to run
+            for n, w in blocks[::2]:  # layer 1's projections
+                runs.setdefault(w, []).append(n)
+            assert all(len(run) == 1 or min(run) * w >= 8 for w, run in runs.items())
+            if xs.shape[1] == 100:
+                assert max(runs[100]) == (steps or 1) and len(runs[100]) > 1
+
+
+def test_forward_batch_memory_is_bounded_by_the_block(reference_roots):
+    # Whole-layer passes held (T, B, H) states and whole-run gate blocks:
+    # 19 MB at the reference (151, 100). The blocked pass peaks at about
+    # 3.6 MB: 1.5 MB of block buffers, the rest inputs, states read out and
+    # forecasts.
+    params = m.init_params(3, hidden=40)
+    xs, ends = reference_roots
+    tracemalloc.start()
+    try:
+        m.forward_batch(xs, params, ends)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 # ---------------------------------------------------------------------------
