@@ -137,6 +137,13 @@ class TrainingSample:
     x: np.ndarray  # (len_x, 6) wrench window over [t_o, t_e]
     y: np.ndarray  # (70,) giver grip over (t_e, t_f]
 
+    @property
+    def family(self) -> tuple[str, str, int]:
+        """(pair_id, handover_id, first step counted from the alignment point).
+        extract_samples cuts the windows of one family from one record at one
+        start row, so of two such windows the shorter is a prefix of the longer."""
+        return self.pair_id, self.handover_id, ms_to_steps(self.t_e_ms) - len(self.x) + 1
+
     def validate(self) -> None:
         if len(self.y) != HORIZON:
             raise ContractViolation(f"y must have exactly {HORIZON} steps")

@@ -3,16 +3,17 @@
 Defaults follow the tuned hyperparameters the forecasting task ships with:
 learning rate 5e-4, batch size 30, 100 epochs, 2x40 LSTM, MSE loss.
 
-The LSTM starts from zero state at t_o, so a window whose x is a prefix of
-a longer window's x of the same handover and t_o ends on a hidden state
-that the longer window's pass already computes. `_root_of` groups every
-window under such a root window, and each recurrent pass runs over roots
-only. A training batch holds at most batch_size windows, whole roots where
-they fit, and all its roots have one exact length, so nothing is padded
-and the batch gradient is exactly the mean of its windows' gradients.
-evaluate and the per-epoch test loss run every root of their sample list
-as one packed forward_batch, longest first, zero-padded; the test windows
-are grouped once per train call. evaluate returns its metrics next to one
+train and evaluate take windows cut by extract_samples, optionally
+normalized with apply_norm. The LSTM starts from zero state, so the windows
+of one TrainingSample.family (one handover, one start step) are prefixes of
+the longest, their root, whose pass computes all their final states.
+`_root_of` groups every window under its root, and each recurrent pass runs
+over roots only. A training batch holds at most batch_size windows, whole
+roots where they fit, and all its roots have one exact length, so nothing is
+padded and the batch gradient is exactly the mean of its windows' gradients.
+evaluate and the per-epoch test loss run every root of their sample list as
+one packed forward_batch, longest first, zero-padded; the test windows are
+grouped once per train call. evaluate returns its metrics next to one
 (N, 70) array of forecasts in newtons, row i for sample i; it does not
 judge their finiteness, which the caller checks.
 """
@@ -144,23 +145,14 @@ def clip_gradients(grads: m.ModelParams, threshold: float) -> m.ModelParams:
 
 
 def _root_of(samples: list[TrainingSample]) -> list[int]:
-    """For each window, the index of the root window whose pass serves it.
-
-    Longest first, each window joins the first root of its (pair_id,
-    handover_id, t_o_ms) group that it is a prefix of (np.array_equal
-    decides; the key only narrows the search) or becomes a root itself.
+    """For each window, the index of its root: the longest window of its
+    TrainingSample.family, the first in input order among equally long ones.
     """
-    order = sorted(range(len(samples)), key=lambda i: -len(samples[i].x))
-    root_of = [0] * len(samples)
-    groups: dict[tuple[str, str, float], list[int]] = {}
-    for i in order:
-        s = samples[i]
-        roots = groups.setdefault((s.pair_id, s.handover_id, s.t_o_ms), [])
-        root = next((r for r in roots if np.array_equal(samples[r].x[: len(s.x)], s.x)), i)
-        if root == i:
-            roots.append(i)
-        root_of[i] = root
-    return root_of
+    families = [s.family for s in samples]
+    roots: dict[tuple[str, str, int], int] = {}
+    for i in sorted(range(len(samples)), key=lambda i: -len(samples[i].x)):
+        roots.setdefault(families[i], i)
+    return [roots[family] for family in families]
 
 
 def _root_batch(

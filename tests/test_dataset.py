@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loader_reference
@@ -510,6 +510,36 @@ def test_extract_skips_windows_without_room():
     assert 0 < len(samples) < 30
     for s in samples:
         assert ms_to_steps(s.t_e_ms) + 40 - (len(s.x) - 1) >= 0
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    t_e_lo=st.floats(-250.0, 0.0),
+    t_e_stride=st.sampled_from([13.0, 50.0]) | st.floats(2.0, 300.0),
+    gap=st.floats(5.0, 200.0),
+    t_o_span=st.floats(0.0, 1000.0),
+    t_o_stride=st.sampled_from([4.0, 250.0]) | st.floats(2.0, 300.0),
+    offset_ms=st.floats(-4.0, 4.0),
+)
+@example(t_e_lo=-250.0, t_e_stride=50.0, gap=10.0, t_o_span=990.0, t_o_stride=250.0,
+         offset_ms=0.0)  # the default grid
+def test_window_family_names_its_rows(t_e_lo, t_e_stride, gap, t_o_span, t_o_stride,
+                                      offset_ms):
+    # A window's family start is its first row counted from the alignment
+    # row, under any grid rounding, and apply_norm keeps the family.
+    policy = SamplingPolicy(t_e_range_ms=(t_e_lo, 0.0),
+                            t_o_range_ms=(t_e_lo - gap - t_o_span, t_e_lo - gap),
+                            t_e_stride_ms=t_e_stride, t_o_stride_ms=t_o_stride)
+    rec = make_record(offset_ms=offset_ms)
+    samples = extract_samples(rec, policy)
+    stats = NormStats(wrench_mean=np.full(6, 0.5), wrench_std=np.full(6, 2.0),
+                      grip_mean=1.0, grip_std=3.0)
+    k0 = 200
+    for s in samples:
+        pair, handover, start = s.family
+        assert (pair, handover) == ("1", "1")
+        assert np.array_equal(s.x, rec.wrench[k0 + start : k0 + start + len(s.x)])
+        assert apply_norm(s, stats).family == s.family
 
 
 def test_extract_requires_alignment():

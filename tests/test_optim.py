@@ -9,6 +9,7 @@ from gripforecast import model as m
 from gripforecast import optim
 from gripforecast.dataset import (
     NormStats,
+    SamplingPolicy,
     TrainingSample,
     align_handover,
     apply_norm,
@@ -456,12 +457,14 @@ def handovers():
     return raw, params
 
 
-def _not_a_prefix(raw):
-    # Shares (pair, handover, t_o) with a t_e=0 root, but its first step differs.
-    s = next(s for s in raw if s.t_e_ms == -50.0)
-    x = s.x.copy()
-    x[0] += 1.0
-    return raw + [replace(s, x=x)]
+# t_o every 4 ms, under the 8.33 ms sample period: the 11 t_o values of each
+# handover start on 6 distinct steps, so windows of different t_o share roots.
+FINE_T_O = SamplingPolicy(t_o_range_ms=(-300.0, -260.0), t_o_stride_ms=4.0)
+
+
+def _fine_t_o_grid(raw):
+    records = [align_handover(r) for r in generate_dataset(1, 2, 3)]
+    return [s for r in records for s in extract_samples(r, FINE_T_O)]
 
 
 SAMPLE_LISTS = {
@@ -469,7 +472,7 @@ SAMPLE_LISTS = {
     "shuffled": lambda raw: [raw[i] for i in Rng(4).permutation(len(raw))],
     "longest_missing": lambda raw: [s for s in raw if not (
         s.t_e_ms == 0.0 and s.handover_id == raw[0].handover_id)],
-    "not_a_prefix": _not_a_prefix,
+    "fine_t_o_grid": _fine_t_o_grid,
     "duplicates": lambda raw: raw + raw[:7],
     "single": lambda raw: [raw[10]],
 }
@@ -516,6 +519,25 @@ def test_one_handover_runs_459_recurrent_steps(handovers, monkeypatch):
     calls.clear()
     optim._test_loss([apply_norm(s, params.norm) for s in one])(params)
     assert calls == [(151, [151, 122, 92, 62, 32])]
+
+
+def test_fine_t_o_grid_shares_roots_across_t_o(handovers, monkeypatch):
+    # Windows that start on one step are prefixes of one root whatever their
+    # t_o, so evaluate runs fewer columns than there are (handover, t_o) groups.
+    raw, params = handovers
+    samples = _fine_t_o_grid(raw)
+    groups = {(s.pair_id, s.handover_id, s.t_o_ms) for s in samples}
+    assert len(samples) == 132 and len(groups) == 22
+    columns = []
+    real = m.forward_batch
+
+    def counting(xs, p, ends):
+        columns.append(xs.shape[1])
+        return real(xs, p, ends)
+
+    monkeypatch.setattr(m, "forward_batch", counting)
+    optim.evaluate(params, samples)
+    assert columns == [12]
 
 
 @pytest.mark.parametrize("case", sorted(SAMPLE_LISTS))
