@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from collections import deque
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -488,23 +487,21 @@ def cmd_stream(args: argparse.Namespace) -> int:
     which also says when a gap restarts the window.
     """
     params, _ = load_checkpoint(args.model)
-    n_window = ms_to_steps(args.window_ms) + 1
-    window: deque[list[float]] = deque(maxlen=n_window)
+    window = m.WindowStream(params, ms_to_steps(args.window_ms) + 1)
     stdin = args.stdin if args.stdin is not None else sys.stdin
     stdout = args.stdout if args.stdout is not None else sys.stdout
 
     for t_ms, wrench, restart in _read_ticks(stdin, "stream", strict=False):
         if restart:
-            window.clear()
-        window.append(wrench)
-        if len(window) < n_window:
+            window.restart()
+        forecast = window.push(wrench)
+        if forecast is None:
             continue
-        forecast = m.predict_grip(np.asarray(window), params)
         if not np.isfinite(forecast).all():
             print(f"stream: tick at t_ms {_fmt(t_ms)}: the forecast is not finite, "
                   "no line written", file=sys.stderr)
             continue
-        stdout.write(_fmt(t_ms) + "," + ",".join(_fmt(v) for v in forecast) + "\n")
+        stdout.write(_fmt(t_ms) + "," + ",".join(map(repr, forecast.tolist())) + "\n")
         stdout.flush()
     return EXIT_OK
 

@@ -14,6 +14,8 @@ longest first and may be zero-padded, and at each step only the columns
 still running advance, so padding is never computed. It runs both layers
 over one block of steps at a time and keeps no (T, B, H) array, so its
 memory is bounded by the block (FORWARD_BLOCK_BYTES of gates), not by T.
+WindowStream is predict_grip for a stream of ticks: it keeps forward_batch's
+prepared layers and buffers, and the normalized window, from tick to tick.
 backward_batch runs every column for all T steps and keeps the
 activations BPTT needs. Both advance a layer through one cell loop
 (_Cell.run). Only the recurrent product h_{t-1} @ W_hh^T (and, in BPTT,
@@ -26,6 +28,7 @@ per block of steps.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,11 +193,6 @@ class _Cell:
         self.rec = np.empty((width, 4 * h))
         self.fc = np.empty((width, h))
 
-    def narrow(self, width: int) -> None:
-        """Serve only the first `width` columns from now on."""
-        self.scale, self.shift, self.rec, self.fc = (
-            a[:width] for a in (self.scale, self.shift, self.rec, self.fc))
-
     def project(self, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Gate pre-activations of (L, w, D) inputs as an (L, w, 4H) block:
         written into `out` (contiguous) if given, else a new array."""
@@ -207,14 +205,15 @@ class _Cell:
 
     def run(self, gates: np.ndarray, h_prev: np.ndarray | None, c_prev: np.ndarray | None,
             cs: np.ndarray, hs: np.ndarray) -> None:
-        """Advance the columns through the steps of a projected (L, w, 4H) block
-        from state (h_prev, c_prev), zero if None.
+        """Advance the first w columns through the steps of a projected
+        (L, w, 4H) block from state (h_prev, c_prev), zero if None.
 
         gates is overwritten by the activated i|f|g|o gates, and cs and hs,
         both (L, w, H), receive the cell and hidden state of every step.
         """
-        h = self.hidden
-        w_hh_t, scale, shift, rec, fc = self.w_hh_t, self.scale, self.shift, self.rec, self.fc
+        h, w = self.hidden, gates.shape[1]
+        w_hh_t = self.w_hh_t
+        scale, shift, rec, fc = (a[:w] for a in (self.scale, self.shift, self.rec, self.fc))
         per_gate = (gates[:, :, k * h : (k + 1) * h] for k in range(4))
         for z, i, f, g, o, c_t, h_t in zip(gates, *per_gate, cs, hs):
             if h_prev is not None:
@@ -394,39 +393,60 @@ def forward_batch(xs: np.ndarray, p: ModelParams, ends: Ends | None = None) -> n
     np.maximum.at(lengths, cols, steps + 1)
     if np.any(lengths[1:] > lengths[:-1]):
         raise ContractViolation("forward_batch needs its columns longest first")
-    ends_of_runs = sorted(set(lengths.tolist()) - {0})
-    h = p.hidden
-    blocks = []  # (first step, end step, width)
-    for t0, t1 in zip([0, *ends_of_runs], ends_of_runs):
-        w = int(np.count_nonzero(lengths >= t1))
-        n = max(-(-8 // w), FORWARD_BLOCK_BYTES // (w * 4 * h * 8))
-        cuts = list(range(t0, t1, n))
-        if len(cuts) > 1 and (t1 - cuts[-1]) * w < 8:
-            cuts.pop()  # the short tail joins the block before it
-        blocks += [(b0, b1, w) for b0, b1 in zip(cuts, [*cuts[1:], t1])]
-    size = max((b1 - b0) * w for b0, b1, w in blocks)
-    gate_buf, c_buf, h_buf = np.empty(size * 4 * h), np.empty(size * h), np.empty(size * h)
-    cells = _Cell(p.layer1, lengths.size), _Cell(p.layer2, lengths.size)
-    carry = np.empty((2, 2, lengths.size, h))  # (h, c) after the last block, per layer
+    encoder = _Encoder(p, lengths)
     order = np.argsort(steps, kind="stable")  # windows by end step
     by_step, by_col = steps[order], cols[order]
-    his = np.searchsorted(by_step, [b1 for _, b1, _ in blocks]).tolist()
-    h_top = np.empty((len(steps), h))
+    his = np.searchsorted(by_step, [b1 for _, b1, _ in encoder.blocks]).tolist()
+    h_top = np.empty((len(steps), p.hidden))
     lo = 0
-    for (b0, b1, w), hi in zip(blocks, his):
-        gates, cs, hs = (buf[: (b1 - b0) * w * k].reshape(b1 - b0, w, k)
-                         for buf, k in ((gate_buf, 4 * h), (c_buf, h), (h_buf, h)))
-        inputs = xs[b0:b1, :w]
-        for cell, state in zip(cells, carry):
-            cell.narrow(w)
-            h_prev, c_prev = state[:, :w] if b0 else (None, None)
-            cell.run(cell.project(inputs, gates), h_prev, c_prev, cs, hs)
-            if b1 < ends_of_runs[-1]:  # a next block starts from this state
-                state[0, :w], state[1, :w] = hs[-1], cs[-1]
-            inputs = hs  # read into the gates before the next layer overwrites it
+    for (b0, _, _), hi, hs in zip(encoder.blocks, his, encoder.run(xs)):
         h_top[order[lo:hi]] = hs[by_step[lo:hi] - b0, by_col[lo:hi]]
         lo = hi
     return head(h_top, p)
+
+
+class _Encoder:
+    """Both layers prepared for a batch whose columns run `lengths` steps,
+    longest first: forward_batch's block plan, the two _Cells, one set of
+    block buffers and the carried (h, c). None of it depends on the inputs'
+    values, so a caller that runs many batches of one shape prepares it once.
+    """
+
+    def __init__(self, p: ModelParams, lengths: np.ndarray):
+        h = self.hidden = p.hidden
+        ends_of_runs = sorted(set(lengths.tolist()) - {0})
+        self.steps = ends_of_runs[-1]
+        self.blocks = []  # (first step, end step, width)
+        for t0, t1 in zip([0, *ends_of_runs], ends_of_runs):
+            w = int(np.count_nonzero(lengths >= t1))
+            n = max(-(-8 // w), FORWARD_BLOCK_BYTES // (w * 4 * h * 8))
+            cuts = list(range(t0, t1, n))
+            if len(cuts) > 1 and (t1 - cuts[-1]) * w < 8:
+                cuts.pop()  # the short tail joins the block before it
+            self.blocks += [(b0, b1, w) for b0, b1 in zip(cuts, [*cuts[1:], t1])]
+        size = max((b1 - b0) * w for b0, b1, w in self.blocks)
+        self.buffers = np.empty(size * 4 * h), np.empty(size * h), np.empty(size * h)
+        self.cells = _Cell(p.layer1, lengths.size), _Cell(p.layer2, lengths.size)
+        self.carry = np.empty((2, 2, lengths.size, h))  # (h, c) after the last block, per layer
+
+    def run(self, xs: np.ndarray) -> Iterator[np.ndarray]:
+        """Advance both layers over the (T, B, 6) inputs block by block, in
+        the order of self.blocks, from zero state at step 0. Yields each
+        block's top-layer hs, (b1 - b0, w, H), valid until the next block.
+        """
+        h = self.hidden
+        gate_buf, c_buf, h_buf = self.buffers
+        for b0, b1, w in self.blocks:
+            gates, cs, hs = (buf[: (b1 - b0) * w * k].reshape(b1 - b0, w, k)
+                             for buf, k in ((gate_buf, 4 * h), (c_buf, h), (h_buf, h)))
+            inputs = xs[b0:b1, :w]
+            for cell, state in zip(self.cells, self.carry):
+                h_prev, c_prev = state[:, :w] if b0 else (None, None)
+                cell.run(cell.project(inputs, gates), h_prev, c_prev, cs, hs)
+                if b1 < self.steps:  # a next block starts from this state
+                    state[0, :w], state[1, :w] = hs[-1], cs[-1]
+                inputs = hs  # read into the gates before the next layer overwrites it
+            yield hs
 
 
 def backward_batch(
@@ -491,3 +511,40 @@ def predict_grip(x_raw: np.ndarray, p: ModelParams) -> np.ndarray:
         raise ContractViolation("predict_grip input contains non-finite values")
     y_norm = forward_batch(normalize_wrench(x_raw, p.norm)[:, None, :], p)
     return denormalize_grip(y_norm[0], p.norm)
+
+
+class WindowStream:
+    """predict_grip over a sliding window of the last `n` ticks, fed one tick
+    at a time.
+
+    What does not depend on the ticks is prepared once: the _Encoder of one
+    n-step column and a ring of 2n normalized rows. A tick is normalized on
+    arrival and written at rows k and k + n, so the window is always the
+    contiguous slice ring[k + 1 : k + 1 + n]. A forecast then makes the same
+    products and ufunc calls on the same operands as predict_grip on that
+    window, so it equals predict_grip's bit for bit.
+    """
+
+    def __init__(self, p: ModelParams, n: int):
+        if p.norm is None:
+            raise ContractViolation("model has no normalization stats attached")
+        self.p, self.n = p, n
+        self.encoder = _Encoder(p, np.array([n]))
+        self.ring = np.empty((2 * n, 1, INPUT_DIM))
+        self.filled = 0  # ticks since the window (re)started
+
+    def restart(self) -> None:
+        """Empty the window, as at a gap: the next n ticks fill it again."""
+        self.filled = 0
+
+    def push(self, wrench: list[float]) -> np.ndarray | None:
+        """Add one raw wrench tick; returns the forecast in newtons of the
+        window it ends, or None while the window is not yet full."""
+        k = self.filled % self.n
+        self.ring[k, 0] = self.ring[k + self.n, 0] = normalize_wrench(wrench, self.p.norm)
+        self.filled += 1
+        if self.filled < self.n:
+            return None
+        for hs in self.encoder.run(self.ring[k + 1 : k + 1 + self.n]):
+            pass
+        return denormalize_grip(head(hs[-1], self.p)[0], self.p.norm)

@@ -215,7 +215,6 @@ def packed_layer(xs: np.ndarray, p: m.LstmLayerParams,
     cs = np.empty((t_steps, batch, p.hidden))
     hs = np.empty((t_steps, batch, p.hidden))
     for t0, t1, w in runs:
-        cell.narrow(w)
         prev = (hs[t0 - 1, :w], cs[t0 - 1, :w]) if t0 else (None, None)
         cell.run(cell.project(xs[t0:t1, :w]), *prev, cs[t0:t1, :w], hs[t0:t1, :w])
     return hs

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -21,7 +22,13 @@ from hypothesis import strategies as st
 
 from gripforecast import cli
 from gripforecast import model as m
-from gripforecast.dataset import PERIOD_MS, align_handover, load_recordings, save_recordings
+from gripforecast.dataset import (
+    PERIOD_MS,
+    align_handover,
+    load_recordings,
+    ms_to_steps,
+    save_recordings,
+)
 from gripforecast.errors import ContractViolation, DataError
 from gripforecast.optim import TrainConfig
 
@@ -650,25 +657,113 @@ def run_in_process(argv, stdin_text=""):
     return rc, out.getvalue(), err.getvalue()
 
 
-def test_stream_restarts_window_after_gap(run):
-    # 120 uniform ticks, with 500 ms added from tick 61 on: two 60-tick runs,
-    # each giving 60 - 31 forecasts at the default 32-tick window.
-    rec = align_handover(load_recordings(run.data)[0])
-    lines = ticks_for(rec, 120)
-    for i in range(60, 120):
-        lines[i] = ",".join([repr(float(rec.t_ms[i] + 500.0))] + lines[i].split(",")[1:])
-    rc, out, err = run_in_process(["stream", "--model", str(run.ckpt)], "\n".join(lines) + "\n")
+def uniform_ticks(record, count):
+    """`count` tick lines 120 Hz apart from t_ms 0, cycling through the
+    record's wrench rows, and those rows as a (count, 6) array."""
+    wrench = record.wrench[np.arange(count) % len(record.wrench)]
+    lines = [",".join(repr(float(v)) for v in (k * PERIOD_MS, *row))
+             for k, row in enumerate(wrench)]
+    return lines, wrench
+
+
+@pytest.mark.parametrize("window_ms", [10.0, 260.0, 1250.0])
+def test_stream_restarts_window_after_gap(run, window_ms):
+    # Two runs of 2n + 60 uniform ticks, the second 500 ms late, each giving
+    # n + 61 forecasts at an n-tick window: the stream's ring of 2n rows
+    # wraps around in both. At 10 ms the window is 2 ticks, fewer than the
+    # 8 rows below which a projection rounds differently.
+    n = ms_to_steps(window_ms) + 1
+    run_len = 2 * n + 60
+    lines, wrench = uniform_ticks(align_handover(load_recordings(run.data)[0]), 2 * run_len)
+    for i in range(run_len, 2 * run_len):
+        t_ms, rest = lines[i].split(",", 1)
+        lines[i] = f"{float(t_ms) + 500.0!r},{rest}"
+    rc, out, err = run_in_process(
+        ["stream", "--model", str(run.ckpt), "--window-ms", repr(window_ms)],
+        "\n".join(lines) + "\n")
     assert rc == cli.EXIT_OK
-    assert "line 61" in err and "spacing" in err and "malformed tick" not in err
+    assert f"line {run_len + 1}:" in err and "spacing" in err and "malformed tick" not in err
     out = out.splitlines()
-    assert len(out) == 58
+    ends = [*range(n - 1, run_len), *range(run_len + n - 1, 2 * run_len)]
+    assert len(out) == len(ends) == 2 * (n + 61)
     params, _ = cli.load_checkpoint(run.ckpt)
-    ends = list(range(31, 60)) + list(range(91, 120))
     for line, end in zip(out, ends):
         vals = line.split(",")
-        assert float(vals[0]) == float(lines[end].split(",")[0])
-        want = m.predict_grip(rec.wrench[end - 31 : end + 1], params)
+        assert vals[0] == lines[end].split(",")[0]
+        want = m.predict_grip(wrench[end - n + 1 : end + 1], params)
         assert np.array_equal(np.array([float(v) for v in vals[1:]]), want)
+
+
+class _Discard:
+    """A stdout that counts the lines written to it and keeps none."""
+
+    lines = 0
+
+    def write(self, text):
+        self.lines += 1
+
+    def flush(self):
+        pass
+
+
+def stream_in_memory(ckpt, lines, window_ms, on_tick=None):
+    """cli.cmd_stream over tick `lines`; on_tick(k) runs before tick k is
+    read. Returns the number of forecast lines."""
+    def stdin():
+        for k, line in enumerate(lines):
+            if on_tick is not None:
+                on_tick(k)
+            yield line
+
+    args = cli.build_parser().parse_args(
+        ["stream", "--model", str(ckpt), "--window-ms", repr(window_ms)])
+    args.stdin, args.stdout = stdin(), _Discard()
+    assert cli.cmd_stream(args) == cli.EXIT_OK
+    return args.stdout.lines
+
+
+def test_stream_prepares_weights_once_per_call(run, monkeypatch):
+    # Rebuilding both cells per forecast would count 500 and 900.
+    rec = align_handover(load_recordings(run.data)[0])
+    built = []
+    real_init = m._Cell.__init__
+
+    def init(cell, *args):
+        built.append(cell)
+        real_init(cell, *args)
+
+    monkeypatch.setattr(m._Cell, "__init__", init)
+    counts = []
+    for n_ticks in (400, 600):
+        built.clear()
+        assert stream_in_memory(run.ckpt, uniform_ticks(rec, n_ticks)[0], 1250.0) == n_ticks - 150
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0
+
+
+def test_stream_tick_allocates_almost_nothing(run, tmp_path):
+    # A tick at the 151-tick window, hidden 40, reuses the call's cells,
+    # block buffers and ring. Rebuilding them per tick peaked at about 550 kB.
+    ckpt = tmp_path / "hidden40.json"
+    norm = cli.load_checkpoint(run.ckpt)[0].norm
+    cli.save_checkpoint(ckpt, replace(m.init_params(3, hidden=40), norm=norm),
+                        TrainConfig(hidden=40))
+    lines, _ = uniform_ticks(align_handover(load_recordings(run.data)[0]), 401)
+    peaks, level = [], [0]
+
+    def on_tick(k):
+        if k > 300:  # tick k - 1's peak above the level it started from
+            peaks.append(tracemalloc.get_traced_memory()[1] - level[0])
+        tracemalloc.reset_peak()
+        level[0] = tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        written = stream_in_memory(ckpt, lines, 1250.0, on_tick)
+    finally:
+        tracemalloc.stop()
+    assert written == 401 - 150 and len(peaks) == 100
+    assert max(peaks) < 128_000, max(peaks)
 
 
 def test_predict_window_with_gap_is_data_error(run, tmp_path):
