@@ -18,8 +18,10 @@ import json
 import math
 import os
 import sys
+from array import array
 from collections.abc import Iterable, Iterator
 from pathlib import Path
+from time import perf_counter as clock
 
 import numpy as np
 
@@ -476,6 +478,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _latency_note(service_s: array) -> str:
+    """The stream's EOF note: forecasts written, and the service time (tick
+    line read to forecast line written) at p50, p99 (nearest rank) and max."""
+    ms = np.sort(np.frombuffer(service_s)) * 1e3
+    p50, p99 = (ms[math.ceil(q * len(ms)) - 1] for q in (0.5, 0.99))
+    over = len(ms) - np.searchsorted(ms, PERIOD_MS, side="right")
+    return (f"stream: {len(ms)} forecasts, service time p50 {p50:.3f} ms, p99 {p99:.3f} ms, "
+            f"max {ms[-1]:.3f} ms; {over} over the {PERIOD_MS:.2f} ms tick period")
+
+
 @np.errstate(all="ignore")  # an overflow shows as a non-finite forecast, checked below
 def cmd_stream(args: argparse.Namespace) -> int:
     """Sliding-window forecasting over line-delimited ticks on stdin.
@@ -484,14 +496,23 @@ def cmd_stream(args: argparse.Namespace) -> int:
     (260 ms -> 32). Once it fills, every subsequent tick (and the filling
     one) emits `t_ms,<70 grip values>` on stdout, or, if the forecast is not
     finite, one note on stderr instead. Ticks come through _read_ticks,
-    which also says when a gap restarts the window.
+    which also says when a gap restarts the window. At the end of the input,
+    if any forecast was written, one more stderr note gives their service
+    times (_latency_note), kept as 8 bytes per forecast.
     """
     params, _ = load_checkpoint(args.model)
     window = m.WindowStream(params, ms_to_steps(args.window_ms) + 1)
     stdin = args.stdin if args.stdin is not None else sys.stdin
     stdout = args.stdout if args.stdout is not None else sys.stdout
+    arrived = [0.0]  # when the last line read came in
+    service_s = array("d")
 
-    for t_ms, wrench, restart in _read_ticks(stdin, "stream", strict=False):
+    def stamped(lines: Iterable[str]) -> Iterator[str]:
+        for line in lines:
+            arrived[0] = clock()
+            yield line
+
+    for t_ms, wrench, restart in _read_ticks(stamped(stdin), "stream", strict=False):
         if restart:
             window.restart()
         forecast = window.push(wrench)
@@ -503,6 +524,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
             continue
         stdout.write(_fmt(t_ms) + "," + ",".join(map(repr, forecast.tolist())) + "\n")
         stdout.flush()
+        service_s.append(clock() - arrived[0])
+    if service_s:
+        print(_latency_note(service_s), file=sys.stderr)
     return EXIT_OK
 
 

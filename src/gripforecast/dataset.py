@@ -6,9 +6,11 @@ sits on the first sample at-or-after the downward crossing of
 (giver - taker) grip force. Training samples pair a wrench window X over
 [t_o, t_e] with the 70 giver grip values Y over the following 583.33 ms
 (y covers (t_e, t_f]; X and Y meet at the t_e boundary and do not share a
-sample). Normalization stats are fit over the training windows read in
-pieces of bounded size, never concatenated, with the bits numpy gives for
-the concatenation.
+sample). A window's x and y are read-only views of its record, and
+apply_norm z-scores a record's rows once and hands out views of them. The
+normalization stats are fit over the training windows read in pieces of
+bounded size, never concatenated, with the bits numpy gives for the
+concatenation.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NoReturn, TextIO
 
 import numpy as np
@@ -126,9 +128,13 @@ class HandoverRecord:
                 raise ContractViolation(f"{name} contains non-finite values")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingSample:
-    """One (X, Y) pair: wrench window in, 70-step giver grip horizon out."""
+    """One (X, Y) pair: wrench window in, 70-step giver grip horizon out.
+
+    Frozen, so a window is changed only by dataclasses.replace, which drops
+    the private link to the record (`_source`) that extract_samples sets.
+    """
 
     pair_id: str
     handover_id: str
@@ -136,6 +142,7 @@ class TrainingSample:
     t_e_ms: float
     x: np.ndarray  # (len_x, 6) wrench window over [t_o, t_e]
     y: np.ndarray  # (70,) giver grip over (t_e, t_f]
+    _source: _Source | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def family(self) -> tuple[str, str, int]:
@@ -375,6 +382,51 @@ def _zero_index(record: HandoverRecord) -> int:
     return k
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of `a` that refuses writes; `a` itself keeps its flags."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def _cut(wrench: np.ndarray, grip: np.ndarray, row: int,
+         len_x: int) -> tuple[np.ndarray, np.ndarray]:
+    """The window whose x starts at `row`: (x, y) views, y the HORIZON rows after x."""
+    return wrench[row : row + len_x], grip[row + len_x : row + len_x + HORIZON]
+
+
+def _normalized(x: np.ndarray, y: np.ndarray, stats: NormStats) -> tuple[np.ndarray, np.ndarray]:
+    return _read_only(normalize_wrench(x, stats)), _read_only(normalize_grip(y, stats))
+
+
+class _Source:
+    """The rows of one record that its windows span, read-only, shared by the
+    windows extract_samples cuts from them; `zero` is the alignment row.
+
+    window() reads a window off these rows z-scored as a whole, once per
+    NormStats: the last stats and their result are kept, so the windows
+    normalized with one stats view one array. Only raw windows hold a
+    _Source, so once they are gone only the normalized rows that the
+    normalized windows view stay alive.
+    """
+
+    __slots__ = ("wrench", "grip", "zero", "_last")
+
+    def __init__(self, wrench: np.ndarray, grip: np.ndarray, zero: int):
+        self.wrench, self.grip = _read_only(np.ascontiguousarray(wrench)), _read_only(grip)
+        self.zero = zero
+        self._last: tuple | None = None  # (stats key, normalized wrench, grip)
+
+    def window(self, sample: TrainingSample, stats: NormStats) -> tuple[np.ndarray, np.ndarray]:
+        # The stats by value, so stats changed in place count as new ones.
+        key = (stats.wrench_mean.tobytes(), stats.wrench_std.tobytes(),
+               stats.grip_mean, stats.grip_std)
+        if self._last is None or self._last[0] != key:
+            self._last = (key, *_normalized(self.wrench, self.grip, stats))
+        _, wrench, grip = self._last
+        return _cut(wrench, grip, self.zero + sample.family[2], len(sample.x))
+
+
 def extract_samples(
     record: HandoverRecord, policy: SamplingPolicy | None = None
 ) -> list[TrainingSample]:
@@ -382,6 +434,8 @@ def extract_samples(
 
     Samples come out ordered by (t_e desc, t_o desc). Grid points whose X
     window or Y horizon would leave the record are skipped, not errors.
+    Each window's x and y are read-only views of the record's rows, which
+    must not change while its windows are in use.
     """
     if policy is None:
         policy = SamplingPolicy()
@@ -395,25 +449,26 @@ def extract_samples(
 
     k0 = _zero_index(record)
     n = len(record)
-    samples = []
+    grid = []  # (t_o, t_e, first row, x length) of each window that fits
     for t_e in policy.t_e_grid():
         i_e = k0 + ms_to_steps(t_e)
         for t_o in policy.t_o_grid():
             len_x = ms_to_steps(t_e - t_o) + 1
             i_o = i_e - (len_x - 1)
-            i_f = i_e + HORIZON
-            if i_o < 0 or i_f > n - 1:
-                continue
-            sample = TrainingSample(
-                pair_id=record.pair_id,
-                handover_id=record.handover_id,
-                t_o_ms=t_o,
-                t_e_ms=t_e,
-                x=np.ascontiguousarray(record.wrench[i_o : i_e + 1]),
-                y=record.grip_giver[i_e + 1 : i_f + 1].copy(),
-            )
-            sample.validate()
-            samples.append(sample)
+            if i_o >= 0 and i_e + HORIZON <= n - 1:
+                grid.append((t_o, t_e, i_o, len_x))
+    if not grid:
+        return []
+    lo = min(i_o for _, _, i_o, _ in grid)
+    hi = max(i_o + len_x for _, _, i_o, len_x in grid) + HORIZON
+    source = _Source(record.wrench[lo:hi], record.grip_giver[lo:hi], k0 - lo)
+    samples = []
+    for t_o, t_e, i_o, len_x in grid:
+        x, y = _cut(source.wrench, source.grip, i_o - lo, len_x)
+        sample = TrainingSample(record.pair_id, record.handover_id, t_o, t_e, x, y)
+        object.__setattr__(sample, "_source", source)  # frozen; see TrainingSample
+        sample.validate()
+        samples.append(sample)
     return samples
 
 
@@ -559,9 +614,16 @@ def denormalize_grip(y_norm: np.ndarray, stats: NormStats) -> np.ndarray:
 
 
 def apply_norm(sample: TrainingSample, stats: NormStats) -> TrainingSample:
-    """z-score a sample's channels; denormalize_grip inverts the Y side."""
-    return replace(
-        sample,
-        x=normalize_wrench(sample.x, stats),
-        y=normalize_grip(sample.y, stats),
-    )
+    """z-score a sample's channels; denormalize_grip inverts the Y side.
+
+    The result's x and y are read-only and bit for bit normalize_wrench(x)
+    and normalize_grip(y). A window cut by extract_samples gets views of its
+    record's rows, z-scored once per NormStats (see _Source); any other
+    sample (hand-made, changed by replace, or already normalized) is
+    z-scored from its own x and y.
+    """
+    if sample._source is None:
+        x, y = _normalized(sample.x, sample.y, stats)
+    else:
+        x, y = sample._source.window(sample, stats)
+    return replace(sample, x=x, y=y)

@@ -766,6 +766,64 @@ def test_stream_tick_allocates_almost_nothing(run, tmp_path):
     assert max(peaks) < 128_000, max(peaks)
 
 
+class _SlowWriter:
+    """A stdout on a fake clock: writing forecast line k takes service_s[k]."""
+
+    def __init__(self, now, service_s):
+        self.now, self.service_s, self.lines = now, service_s, 0
+
+    def write(self, text):
+        self.now[0] += self.service_s[self.lines]
+        self.lines += 1
+
+    def flush(self):
+        pass
+
+
+def test_stream_eof_note_gives_service_times(run, monkeypatch):
+    # On a fake clock, each line arrives 1/64 s after the one before, and
+    # writing forecast k takes (k % 16 + 1) / 1024 s, about 1 to 15.6 ms:
+    # binary fractions, so every difference is exact. The note times each
+    # forecast from its tick line's arrival to the return of its write.
+    now = [0.0]
+    monkeypatch.setattr(cli, "clock", lambda: now[0])
+    lines, _ = uniform_ticks(align_handover(load_recordings(run.data)[0]), 131)
+
+    def stdin():
+        for line in lines:
+            now[0] += 1 / 64
+            yield line
+
+    args = cli.build_parser().parse_args(["stream", "--model", str(run.ckpt)])
+    args.stdin = stdin()
+    args.stdout = _SlowWriter(now, [(k % 16 + 1) / 1024 for k in range(100)])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.cmd_stream(args) == cli.EXIT_OK
+    # 100 forecasts from a 32-tick window; 7.8125 ms is the 50th smallest,
+    # 15.625 ms the 99th, and the 48 of 9/1024 s or more exceed 8.33 ms.
+    assert args.stdout.lines == 100
+    assert err.getvalue() == ("stream: 100 forecasts, service time p50 7.812 ms, "
+                              "p99 15.625 ms, max 15.625 ms; 48 over the 8.33 ms tick period\n")
+
+
+def test_stream_eof_note_only_after_forecasts_and_a_normal_end(run):
+    rec = align_handover(load_recordings(run.data)[0])
+    lines = ticks_for(rec, 40)
+    rc, out, err = run_in_process(["stream", "--model", str(run.ckpt)],
+                                  "\n".join(lines[:31]) + "\n")
+    assert (rc, out, err) == (cli.EXIT_OK, "", "")  # the window never filled
+    rc, out, err = run_in_process(["stream", "--model", str(run.ckpt)],
+                                  "\n".join(lines + [lines[3]]) + "\n")
+    assert rc == cli.EXIT_DATA and len(out.splitlines()) == 9
+    assert err.splitlines() == [f"error: stream: line 41: timestamp {rec.t_ms[3]:g} does not "
+                                f"increase past {rec.t_ms[39]:g}"]
+    rc, out, err = run_in_process(["stream", "--model", str(run.ckpt)],
+                                  "\n".join(lines) + "\n")
+    assert rc == cli.EXIT_OK and len(out.splitlines()) == 9
+    assert err.startswith("stream: 9 forecasts, service time p50 ") and err.count("\n") == 1
+
+
 def test_predict_window_with_gap_is_data_error(run, tmp_path):
     rec = align_handover(load_recordings(run.data)[0])
     lines = ticks_for(rec, 32)
@@ -917,8 +975,9 @@ def test_stream_non_finite_forecast_gets_one_note(run):
     rc, out, err = run_in_process(["stream", "--model", str(run.ckpt)], "\n".join(lines) + "\n")
     assert rc == cli.EXIT_OK, err
     assert "malformed tick" not in err
-    notes = err.splitlines()
+    *notes, latency = err.splitlines()  # the last line is the EOF latency note
     assert len(notes) == 32
+    assert latency.startswith("stream: 7 forecasts, service time p50 ")
     for note, line in zip(notes, lines[35:67]):
         assert note == (f"stream: tick at t_ms {line.split(',')[0]}: the forecast is not "
                         "finite, no line written")

@@ -1,7 +1,9 @@
 """Tests for recording IO, alignment, window extraction, and normalization."""
 
 import csv
+import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from gripforecast.dataset import (
     load_recordings,
     ms_to_steps,
     normalize_grip,
+    normalize_wrench,
     round_half_up,
     save_recordings,
     split_by_pair,
@@ -727,3 +730,96 @@ def test_normalize_grip_inverse_property():
     y = np.array([1.0, 5.0, 9.0])
     assert np.allclose(denormalize_grip(normalize_grip(y, stats), stats), y)
     assert np.array_equal(normalize_grip(y, stats), np.array([-2.0, 0.0, 2.0]))
+
+
+# ---------------------------------------------------------------------------
+# windows as read-only views of their record
+
+
+@pytest.fixture(scope="module")
+def reference_split():
+    """The reference dataset (seed 7, 13 pairs x 10 handovers) aligned and
+    split as train does: (train records, test records)."""
+    records = [align_handover(r) for r in generate_dataset(13, 10, 7)]
+    return split_by_pair(records, {"12", "13"})
+
+
+def _windows(records):
+    return [s for r in records for s in extract_samples(r)]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _z_scored_as_before(normalized, sample, stats):
+    return (_same_bits(normalized.x, normalize_wrench(sample.x, stats))
+            and _same_bits(normalized.y, normalize_grip(sample.y, stats)))
+
+
+def test_apply_norm_equals_per_window_normalization(reference_split):
+    train_recs, test_recs = reference_split
+    raw = _windows(train_recs) + _windows(test_recs)
+    stats = fit_norm_stats(_windows(train_recs))
+    other = NormStats(stats.wrench_mean + 1.0, stats.wrench_std * 2.0, 3.0, 0.5)
+    # Alternating stats: a window is never read off another stats' z-scores.
+    for s in raw:
+        assert _z_scored_as_before(apply_norm(s, stats), s, stats)
+        assert _z_scored_as_before(apply_norm(s, other), s, other)
+    # Stats changed in place are new stats too.
+    other.wrench_mean[2] += 0.25
+    other.grip_std = 0.75
+    assert all(_z_scored_as_before(apply_norm(s, other), s, other) for s in raw[:60])
+    # Samples with no record behind them normalize their own x and y.
+    hand_made = TrainingSample("1", "1", -260.0, 0.0,
+                               np.linspace(-3.0, 3.0, 32 * 6).reshape(32, 6),
+                               np.linspace(0.0, 9.0, HORIZON))
+    edited = replace(raw[7], x=raw[7].x + 1.0, y=raw[7].y[::-1])
+    twice = apply_norm(raw[3], stats)
+    for s in (hand_made, edited, twice):
+        assert _z_scored_as_before(apply_norm(s, stats), s, stats)
+    assert edited.family == raw[7].family
+
+
+def test_windows_of_a_record_share_memory():
+    rec = make_record()
+    raw = extract_samples(rec)
+    stats = fit_norm_stats(raw)
+    first, last = apply_norm(raw[0], stats), apply_norm(raw[-1], stats)
+    assert np.shares_memory(raw[0].x, rec.wrench) and np.shares_memory(raw[0].y, rec.grip_giver)
+    assert np.shares_memory(first.x, last.x) and np.shares_memory(first.y, last.y)
+    assert not np.shares_memory(first.x, rec.wrench)
+
+
+def test_windows_refuse_writes():
+    rec = make_record()
+    wrench, grip = rec.wrench.copy(), rec.grip_giver.copy()
+    raw = extract_samples(rec)
+    normalized = apply_norm(raw[0], fit_norm_stats(raw))
+    for s in (raw[0], normalized):
+        with pytest.raises(ValueError, match="read-only"):
+            s.x[0, 0] = 1e6
+        with pytest.raises(ValueError, match="read-only"):
+            s.y[:] = 1e6
+    assert np.array_equal(rec.wrench, wrench) and np.array_equal(rec.grip_giver, grip)
+    assert np.array_equal(apply_norm(raw[0], fit_norm_stats(raw)).x, normalized.x)
+
+
+def test_normalized_reference_windows_hold_under_8_mb(reference_split):
+    # 3,900 windows from 130 records. A z-scored copy per window held 18 MB;
+    # one z-scored block per record, which the windows view, holds about 3.
+    train_recs, test_recs = reference_split
+    gc.collect()
+    tracemalloc.start()
+    try:
+        train_raw, test_raw = _windows(train_recs), _windows(test_recs)
+        stats = fit_norm_stats(train_raw)
+        train_n = [apply_norm(s, stats) for s in train_raw]
+        test_n = [apply_norm(s, stats) for s in test_raw]
+        del train_raw, test_raw
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(train_n) + len(test_n) == 3_900
+    assert held < 8_000_000, held
