@@ -7,7 +7,8 @@ tick rows (WRENCH_CSV_HEADER: t_ms, then dataset.WRENCH_COLUMNS) through
 one reader, `_read_ticks`. A forecast that is not finite is never written:
 predict and eval exit 2, stream writes a note instead. Exit codes: 0 success,
 1 usage error, 2 data error, 3 internal error (an invariant failure or any
-other unexpected exception, reported on one stderr line without a traceback).
+other unexpected exception, reported on one stderr line without a traceback),
+130 interrupted (Ctrl-C: one `interrupted` line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 CHECKPOINT_VERSION = 1
 
@@ -111,7 +113,11 @@ def _fmt(value: float) -> str:
 
 def save_checkpoint(path: str | Path, params: m.ModelParams, cfg: TrainConfig) -> None:
     """Self-describing JSON: version, shapes, gate order, norm stats, config
-    echo. Weight arrays are flat row-major lists next to their shapes."""
+    echo. Weight arrays are flat row-major lists next to their shapes.
+
+    The JSON goes to a sibling temp file that then replaces `path`, so a
+    write that fails or is interrupted leaves any old checkpoint as it was
+    and no temp file behind."""
     if params.norm is None:
         raise ContractViolation("checkpoint requires normalization stats on the model")
     weights = {}
@@ -135,9 +141,16 @@ def save_checkpoint(path: str | Path, params: m.ModelParams, cfg: TrainConfig) -
         },
         "train_config": dataclasses.asdict(cfg),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:  # KeyboardInterrupt too
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _checkpoint_int(path: str | Path, doc: dict, key: str) -> int:
@@ -497,8 +510,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
     one) emits `t_ms,<70 grip values>` on stdout, or, if the forecast is not
     finite, one note on stderr instead. Ticks come through _read_ticks,
     which also says when a gap restarts the window. At the end of the input,
-    if any forecast was written, one more stderr note gives their service
-    times (_latency_note), kept as 8 bytes per forecast.
+    or on Ctrl-C, if any forecast was written, one more stderr note gives
+    their service times (_latency_note), kept as 8 bytes per forecast.
     """
     params, _ = load_checkpoint(args.model)
     window = m.WindowStream(params, ms_to_steps(args.window_ms) + 1)
@@ -512,21 +525,28 @@ def cmd_stream(args: argparse.Namespace) -> int:
             arrived[0] = clock()
             yield line
 
-    for t_ms, wrench, restart in _read_ticks(stamped(stdin), "stream", strict=False):
-        if restart:
-            window.restart()
-        forecast = window.push(wrench)
-        if forecast is None:
-            continue
-        if not np.isfinite(forecast).all():
-            print(f"stream: tick at t_ms {_fmt(t_ms)}: the forecast is not finite, "
-                  "no line written", file=sys.stderr)
-            continue
-        stdout.write(_fmt(t_ms) + "," + ",".join(map(repr, forecast.tolist())) + "\n")
-        stdout.flush()
-        service_s.append(clock() - arrived[0])
-    if service_s:
-        print(_latency_note(service_s), file=sys.stderr)
+    def note() -> None:
+        if service_s:
+            print(_latency_note(service_s), file=sys.stderr)
+
+    try:
+        for t_ms, wrench, restart in _read_ticks(stamped(stdin), "stream", strict=False):
+            if restart:
+                window.restart()
+            forecast = window.push(wrench)
+            if forecast is None:
+                continue
+            if not np.isfinite(forecast).all():
+                print(f"stream: tick at t_ms {_fmt(t_ms)}: the forecast is not finite, "
+                      "no line written", file=sys.stderr)
+                continue
+            stdout.write(_fmt(t_ms) + "," + ",".join(map(repr, forecast.tolist())) + "\n")
+            stdout.flush()
+            service_s.append(clock() - arrived[0])
+    except KeyboardInterrupt:  # a live stream ends by Ctrl-C: note, then main's exit
+        note()
+        raise
+    note()
     return EXIT_OK
 
 
@@ -606,6 +626,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # missing or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except KeyboardInterrupt:  # Ctrl-C: one line, not a traceback
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except Exception as exc:  # a bug, not bad input: report it without a traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

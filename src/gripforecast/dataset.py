@@ -1,9 +1,11 @@
 """Handover recordings: loading, alignment, window extraction, splits.
 
 A recording is a 120 Hz time series of the 6-axis interaction wrench plus
-the giver's and taker's grip forces. Alignment shifts timestamps so t=0
-sits on the first sample at-or-after the downward crossing of
-(giver - taker) grip force. Training samples pair a wrench window X over
+the giver's and taker's grip forces. load_recordings tokenizes each row of
+the recording CSV once: one np.loadtxt pass returns the ids and the numbers
+together, as one structured table. Alignment shifts timestamps so t=0 sits
+on the first sample at-or-after the downward crossing of (giver - taker)
+grip force. Training samples pair a wrench window X over
 [t_o, t_e] with the 70 giver grip values Y over the following 583.33 ms
 (y covers (t_e, t_f]; X and Y meet at the t_e boundary and do not share a
 sample). A window's x and y are read-only views of its record, and
@@ -226,10 +228,11 @@ def load_recordings(path: str) -> list[HandoverRecord]:
     """Parse a recording CSV into per-(pair, handover) records.
 
     Columns are found by their header names, so extra or reordered columns
-    load too. Records come back sorted by (pair_id, handover_id), rows within
-    a record in file order, which must already be timestamp-ascending. The
-    aligned flag is false; call align_handover before extracting samples.
-    A malformed file raises DataError naming the row and field.
+    load too. One np.loadtxt pass tokenizes each data row once (_parse_table).
+    Records come back sorted by (pair_id, handover_id), rows within a record
+    in file order, which must already be timestamp-ascending. The aligned
+    flag is false; call align_handover before extracting samples. A
+    malformed file raises DataError naming the row and field.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -239,31 +242,28 @@ def load_recordings(path: str) -> list[HandoverRecord]:
             if missing:
                 raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
             try:
-                with warnings.catch_warnings():  # loadtxt notes blank lines and no rows
-                    warnings.simplefilter("ignore", UserWarning)
-                    data = _bulk_columns(fh, [index[c] for c in _NUMERIC_COLUMNS], np.float64)
-                    # object, not str: a numpy str array drops an id's trailing NULs
-                    ids = _bulk_columns(fh, [index[c] for c in _ID_COLUMNS], object)
+                table = _parse_table(fh, index)
             except ValueError as exc:
                 _raise_first_bad_row(path, index, exc)
-            if not np.isfinite(data).all():
+            if not all(np.isfinite(table[c]).all() for c in _NUMERIC_COLUMNS):
                 _raise_first_bad_row(path, index, None)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
     # Runs of rows that share an id pair; a handover may come back in several.
-    new_run = np.ones(len(ids), dtype=bool)
-    new_run[1:] = (ids[1:] != ids[:-1]).any(axis=1)
+    pair, handover = table["pair_id"], table["handover_id"]
+    new_run = np.ones(len(table), dtype=bool)
+    new_run[1:] = (pair[1:] != pair[:-1]) | (handover[1:] != handover[:-1])
     starts = np.flatnonzero(new_run)
-    runs: dict[tuple[str, str], list[np.ndarray]] = {}
-    for lo, hi in zip(starts, [*starts[1:], len(ids)]):
-        runs.setdefault((ids[lo, 0], ids[lo, 1]), []).append(np.arange(lo, hi))
+    runs: dict[tuple[str, str], list[tuple[int, int]]] = {}
+    for lo, hi in zip(starts, [*starts[1:], len(table)]):
+        runs.setdefault((pair[lo], handover[lo]), []).append((lo, hi))
 
     records = []
     for (pair_id, handover_id) in sorted(runs):
-        rows = np.concatenate(runs[(pair_id, handover_id)])
-        block = data[rows]
-        t = block[:, 0].copy()
+        rows = np.concatenate([np.arange(lo, hi) for lo, hi in runs[(pair_id, handover_id)]])
+        block = table[rows]
+        t = block["t_ms"].copy()
         dt = np.diff(t)
         bad = np.flatnonzero(dt <= 0)
         if bad.size:
@@ -282,21 +282,27 @@ def load_recordings(path: str) -> list[HandoverRecord]:
                 pair_id=pair_id,
                 handover_id=handover_id,
                 t_ms=t,
-                wrench=np.ascontiguousarray(block[:, 1:7]),
-                grip_giver=block[:, 7].copy(),
-                grip_taker=block[:, 8].copy(),
+                wrench=np.stack([block[c] for c in WRENCH_COLUMNS], axis=1),
+                grip_giver=block["grip_giver_N"].copy(),
+                grip_taker=block["grip_taker_N"].copy(),
                 aligned=False,
             )
         )
     return records
 
 
-def _bulk_columns(fh: TextIO, usecols: list[int], dtype: type) -> np.ndarray:
-    """One C-level pass over the data rows of an open CSV: (rows, len(usecols)).
-    Blank lines are skipped, as csv.DictReader skips them."""
-    fh.seek(0)
-    return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
-                      skiprows=1, usecols=usecols, ndmin=2)
+def _parse_table(fh: TextIO, index: dict[str, int]) -> np.ndarray:
+    """The data rows of an open CSV, read on from its header in one C-level
+    pass: a structured array whose fields are the CSV_COLUMNS in header
+    order, the ids as str objects (a numpy str drops an id's trailing NULs)
+    and the rest float64. Blank lines are skipped, as csv.DictReader skips
+    them."""
+    columns = sorted(CSV_COLUMNS, key=index.__getitem__)
+    dtype = np.dtype([(c, object if c in _ID_COLUMNS else np.float64) for c in columns])
+    with warnings.catch_warnings():  # loadtxt notes blank lines and no rows
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                          usecols=[index[c] for c in columns], ndmin=1)
 
 
 def _raise_first_bad_row(path: str, index: dict[str, int], exc: ValueError | None) -> NoReturn:
@@ -626,4 +632,4 @@ def apply_norm(sample: TrainingSample, stats: NormStats) -> TrainingSample:
         x, y = _normalized(sample.x, sample.y, stats)
     else:
         x, y = sample._source.window(sample, stats)
-    return replace(sample, x=x, y=y)
+    return TrainingSample(sample.pair_id, sample.handover_id, sample.t_o_ms, sample.t_e_ms, x, y)

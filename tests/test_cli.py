@@ -135,6 +135,53 @@ def test_checkpoint_round_trip_bit_exact(run, tmp_path):
     assert again.read_bytes() == run.ckpt.read_bytes()
 
 
+@pytest.mark.parametrize("failure", [OSError(errno.ENOSPC, "No space left on device"),
+                                     KeyboardInterrupt()], ids=["disk_full", "ctrl_c"])
+def test_checkpoint_write_that_fails_partway_keeps_the_old_file(run, tmp_path, monkeypatch,
+                                                                failure):
+    params, _ = cli.load_checkpoint(run.ckpt)
+    cfg = TrainConfig(**json.loads(run.ckpt.read_text())["train_config"])
+    target = tmp_path / "checkpoint.json"
+    old = b'{"an": "older checkpoint"}\n'
+    target.write_bytes(old)
+
+    def dump_then_fail(doc, fh, **kwargs):
+        fh.write(json.dumps(doc, **kwargs)[:1000])
+        fh.flush()
+        raise failure
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.json, "dump", dump_then_fail)
+        with pytest.raises(type(failure)):
+            cli.save_checkpoint(target, params, cfg)
+    assert target.read_bytes() == old
+    assert os.listdir(tmp_path) == ["checkpoint.json"]
+    cli.save_checkpoint(target, params, cfg)
+    assert target.read_bytes() == run.ckpt.read_bytes()
+    assert os.listdir(tmp_path) == ["checkpoint.json"]
+
+
+def run_interrupted(argv, stdin_text=""):
+    """run_in_process for a run that Ctrl-C stops: a KeyboardInterrupt that
+    escapes cli.main fails the test instead of stopping the test session."""
+    try:
+        return run_in_process(argv, stdin_text)
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+
+
+def test_train_ctrl_c_is_one_line_and_exit_130(run, tmp_path, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "train", interrupted)
+    out = tmp_path / "out"
+    rc, stdout, err = run_interrupted(["train", "--data", str(run.data), "--test-pairs", "3",
+                                       "--config", str(run.cfg_path), "--out", str(out)])
+    assert (rc, stdout, err) == (cli.EXIT_INTERRUPTED, "", "interrupted\n")
+    assert not out.exists()
+
+
 def test_train_unknown_test_pair_is_data_error(run, tmp_path, capsys):
     rc = cli.main(
         [
@@ -822,6 +869,30 @@ def test_stream_eof_note_only_after_forecasts_and_a_normal_end(run):
                                   "\n".join(lines) + "\n")
     assert rc == cli.EXIT_OK and len(out.splitlines()) == 9
     assert err.startswith("stream: 9 forecasts, service time p50 ") and err.count("\n") == 1
+
+
+def test_stream_ctrl_c_writes_the_note_and_exits_130(run):
+    # Ctrl-C while stream waits for its 41st tick line: the 9 forecasts of a
+    # 32-tick window so far stay on stdout, the note follows on stderr, then
+    # main's one `interrupted` line, and no traceback.
+    lines, wrench = uniform_ticks(align_handover(load_recordings(run.data)[0]), 40)
+
+    def stdin():
+        yield from (line + "\n" for line in lines)
+        raise KeyboardInterrupt
+
+    rc, out, err = run_interrupted(["stream", "--model", str(run.ckpt)], stdin())
+    assert rc == cli.EXIT_INTERRUPTED and "Traceback" not in err
+    note, last = err.splitlines()
+    assert note.startswith("stream: 9 forecasts, service time p50 ") and last == "interrupted"
+    out = out.splitlines()
+    assert len(out) == 9
+    params, _ = cli.load_checkpoint(run.ckpt)
+    for end, line in enumerate(out, start=31):
+        vals = line.split(",")
+        assert vals[0] == lines[end].split(",")[0]
+        want = m.predict_grip(wrench[end - 31 : end + 1], params)
+        assert np.array_equal(np.array([float(v) for v in vals[1:]]), want)
 
 
 def test_predict_window_with_gap_is_data_error(run, tmp_path):

@@ -261,6 +261,22 @@ def test_loader_matches_oracle_bit_for_bit(synth_csv, tmp_path, rewrite):
     _same_records(load_recordings(path), want)
 
 
+def test_loader_tokenizes_each_data_row_once(synth_csv, monkeypatch):
+    # The rows that np.loadtxt returns to the loader add up to the data rows
+    # once: one pass reads the ids and the numbers together.
+    returned = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        table = loadtxt(*args, **kwargs)
+        returned.append(len(table))
+        return table
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    records = load_recordings(synth_csv)
+    assert sum(returned) == sum(map(len, records)) > 0
+
+
 def _set_cell(row_no, col, text):
     """Rewrite: cell (file row row_no, column col) becomes text."""
     def rewrite(rows, path):
