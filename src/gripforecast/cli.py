@@ -8,7 +8,8 @@ one reader, `_read_ticks`. A forecast that is not finite is never written:
 predict and eval exit 2, stream writes a note instead. Exit codes: 0 success,
 1 usage error, 2 data error, 3 internal error (an invariant failure or any
 other unexpected exception, reported on one stderr line without a traceback),
-130 interrupted (Ctrl-C: one `interrupted` line on stderr, no traceback).
+130 interrupted (Ctrl-C: one `interrupted` line on stderr, no traceback),
+143 terminated (SIGTERM: handled as Ctrl-C, with one `terminated` line).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import dataclasses
 import json
 import math
 import os
+import signal
 import sys
 from array import array
 from collections.abc import Iterable, Iterator
@@ -32,7 +34,6 @@ from .dataset import (
     HandoverRecord,
     NormStats,
     PERIOD_MS,
-    SamplingPolicy,
     TrainingSample,
     WRENCH_COLUMNS,
     align_handover,
@@ -55,6 +56,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
+EXIT_TERMINATED = 143  # 128 + SIGTERM
 
 CHECKPOINT_VERSION = 1
 
@@ -271,8 +273,7 @@ def _parse_test_pairs(text: str) -> set[str]:
 
 def _windows(records: list[HandoverRecord]) -> list[TrainingSample]:
     """Align each record and cut the default policy's windows, in record order."""
-    policy = SamplingPolicy()
-    return [s for rec in records for s in extract_samples(align_handover(rec), policy)]
+    return [s for rec in records for s in extract_samples(align_handover(rec))]
 
 
 def _sample_id(sample: TrainingSample) -> str:
@@ -509,9 +510,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
     (260 ms -> 32). Once it fills, every subsequent tick (and the filling
     one) emits `t_ms,<70 grip values>` on stdout, or, if the forecast is not
     finite, one note on stderr instead. Ticks come through _read_ticks,
-    which also says when a gap restarts the window. At the end of the input,
-    or on Ctrl-C, if any forecast was written, one more stderr note gives
-    their service times (_latency_note), kept as 8 bytes per forecast.
+    which also says when a gap restarts the window. At the end of the input
+    or on Ctrl-C or SIGTERM, one more stderr note gives the service times of
+    the forecasts written, if any (_latency_note), kept as 8 bytes each.
     """
     params, _ = load_checkpoint(args.model)
     window = m.WindowStream(params, ms_to_steps(args.window_ms) + 1)
@@ -543,7 +544,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
             stdout.write(_fmt(t_ms) + "," + ",".join(map(repr, forecast.tolist())) + "\n")
             stdout.flush()
             service_s.append(clock() - arrived[0])
-    except KeyboardInterrupt:  # a live stream ends by Ctrl-C: note, then main's exit
+    except KeyboardInterrupt:  # a live stream ends by Ctrl-C or SIGTERM: note, then main's exit
         note()
         raise
     note()
@@ -605,12 +606,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM, raised as Ctrl-C's KeyboardInterrupt is, so commands stop alike."""
+
+
+def _terminate(signum: int, frame: object) -> None:
+    raise _Terminated
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         return args.func(args)
     except DataError as exc:
@@ -626,9 +636,14 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # missing or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except _Terminated:
+        print("terminated", file=sys.stderr)
+        return EXIT_TERMINATED
     except KeyboardInterrupt:  # Ctrl-C: one line, not a traceback
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     except Exception as exc:  # a bug, not bad input: report it without a traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        signal.signal(signal.SIGTERM, previous)

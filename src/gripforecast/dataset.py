@@ -8,11 +8,12 @@ on the first sample at-or-after the downward crossing of (giver - taker)
 grip force. Training samples pair a wrench window X over
 [t_o, t_e] with the 70 giver grip values Y over the following 583.33 ms
 (y covers (t_e, t_f]; X and Y meet at the t_e boundary and do not share a
-sample). A window's x and y are read-only views of its record, and
-apply_norm z-scores a record's rows once and hands out views of them. The
-normalization stats are fit over the training windows read in pieces of
-bounded size, never concatenated, with the bits numpy gives for the
-concatenation.
+sample), with t_e in {0, -50, -100, -150, -200, -250} ms and t_o in {-260,
+-510, -760, -1010, -1250} ms (the last gap is 240 ms). A window's x and y are
+read-only views of its record, and apply_norm z-scores a record's rows once
+and hands out views of them. The normalization stats are fit over the
+training windows read in pieces of bounded size, never concatenated, with
+the bits numpy gives for the concatenation.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ _SPACING_TOL = 0.01
 def round_half_up(x: float) -> int:
     """Nearest integer, ties away from minus infinity (0.5 -> 1, -0.5 -> 0).
 
-    The ms->steps conversions use this rather than banker's rounding so grid
-    arithmetic has one documented convention.
+    The ms->steps conversions use this rather than banker's rounding so window
+    boundaries round by one documented convention.
     """
     return int(math.floor(x + 0.5))
 
@@ -164,54 +165,24 @@ class TrainingSample:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SamplingPolicy:
-    """Grid of (t_o, t_e) window boundaries, in ms relative to alignment.
-
-    Grids run downward from each range's maximum by the stride; the range
-    minimum is always included as the final grid point, so both interval
-    endpoints are sampled even when the span is not a stride multiple.
+    """The window boundaries, in ms relative to alignment: each t_e paired
+    with each t_o. The default is the paper's grid, t_e every 50 ms from 0
+    to -250 and t_o every 250 ms from -260 to -1010, then 240 ms on to -1250.
     """
 
-    t_e_range_ms: tuple[float, float] = (-250.0, 0.0)
-    t_o_range_ms: tuple[float, float] = (-1250.0, -260.0)
-    t_e_stride_ms: float = 50.0
-    t_o_stride_ms: float = 250.0
+    t_e_ms: tuple[float, ...] = (0.0, -50.0, -100.0, -150.0, -200.0, -250.0)
+    t_o_ms: tuple[float, ...] = (-260.0, -510.0, -760.0, -1010.0, -1250.0)
 
     def validate(self) -> None:
-        for name, (lo, hi) in (
-            ("t_e_range_ms", self.t_e_range_ms),
-            ("t_o_range_ms", self.t_o_range_ms),
-        ):
-            if not (lo <= hi):
-                raise ContractViolation(f"{name} is empty: [{lo}, {hi}]")
-        if self.t_e_stride_ms <= 0 or self.t_o_stride_ms <= 0:
-            raise ContractViolation("strides must be positive")
-        if not (self.t_o_range_ms[1] < self.t_e_range_ms[0]):
-            raise ContractViolation("t_o range must lie entirely before t_e range")
+        if not (self.t_e_ms and self.t_o_ms):
+            raise ContractViolation("a policy needs at least one t_e and one t_o")
         # Guarantees every sample's x has >= 2 steps.
-        if ms_to_steps(self.t_e_range_ms[0] - self.t_o_range_ms[1]) < 1:
+        if ms_to_steps(min(self.t_e_ms) - max(self.t_o_ms)) < 1:
             raise ContractViolation(
-                "t_o range must end at least half a sample period before t_e range"
+                "every t_o must lie at least half a sample period before every t_e"
             )
-
-    def t_e_grid(self) -> list[float]:
-        return _descending_grid(self.t_e_range_ms, self.t_e_stride_ms)
-
-    def t_o_grid(self) -> list[float]:
-        return _descending_grid(self.t_o_range_ms, self.t_o_stride_ms)
-
-
-def _descending_grid(range_ms: tuple[float, float], stride_ms: float) -> list[float]:
-    lo, hi = range_ms
-    grid = []
-    v = hi
-    while v >= lo - 1e-9:
-        grid.append(v)
-        v -= stride_ms
-    if grid and grid[-1] > lo + 1e-9:
-        grid.append(lo)
-    return grid
 
 
 @dataclass
@@ -434,17 +405,17 @@ class _Source:
 
 
 def extract_samples(
-    record: HandoverRecord, policy: SamplingPolicy | None = None
+    record: HandoverRecord, policy: SamplingPolicy = SamplingPolicy()
 ) -> list[TrainingSample]:
-    """All (t_o, t_e) grid windows of the policy that fit inside the record.
+    """All (t_o, t_e) windows of the policy that fit inside the record.
 
-    Samples come out ordered by (t_e desc, t_o desc). Grid points whose X
-    window or Y horizon would leave the record are skipped, not errors.
+    Samples come out in the policy's order, each t_e and each t_o within it:
+    by default t_e 0, -50, -100, -150, -200, -250 ms and t_o -260, -510, -760,
+    -1010, -1250 ms. Points whose X window or Y horizon would leave the
+    record are skipped, not errors.
     Each window's x and y are read-only views of the record's rows, which
     must not change while its windows are in use.
     """
-    if policy is None:
-        policy = SamplingPolicy()
     policy.validate()
     if not record.aligned:
         raise ContractViolation(
@@ -456,9 +427,9 @@ def extract_samples(
     k0 = _zero_index(record)
     n = len(record)
     grid = []  # (t_o, t_e, first row, x length) of each window that fits
-    for t_e in policy.t_e_grid():
+    for t_e in policy.t_e_ms:
         i_e = k0 + ms_to_steps(t_e)
-        for t_o in policy.t_o_grid():
+        for t_o in policy.t_o_ms:
             len_x = ms_to_steps(t_e - t_o) + 1
             i_o = i_e - (len_x - 1)
             if i_o >= 0 and i_e + HORIZON <= n - 1:

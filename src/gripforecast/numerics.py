@@ -16,8 +16,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 output scrambler (Steele, Lea & Flood 2014)."""
+def _mix64(z: int | np.ndarray) -> int | np.ndarray:
+    """splitmix64 output scrambler (Steele, Lea & Flood 2014), on an int or a uint64 array."""
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
     return z ^ (z >> 31)
@@ -48,13 +48,23 @@ class Rng:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
+    def _next(self, n: int) -> np.ndarray:
+        """The next n outputs as uint64: output k scrambles the state seed + k*gamma
+        (mod 2^64), so the states are one wrapping multiply, scrambled at once."""
+        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        return _mix64(z)
+
+    def _uniforms(self, n: int) -> np.ndarray:
+        """The next n doubles in [0, 1), from the top 53 bits of each output."""
+        return (self._next(n) >> 11).astype(np.float64) * 2.0**-53
+
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix64(self._state)
+        return int(self._next(1)[0])
 
     def uniform(self) -> float:
         """One double in [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        return float(self._uniforms(1)[0])
 
     def uniform_range(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.uniform()
@@ -65,31 +75,15 @@ class Rng:
             raise ContractViolation(f"normals: std must be >= 0, got {std}")
         if n < 0:
             raise ContractViolation(f"normals: n must be >= 0, got {n}")
+        u = self._uniforms(2 * ((n + 1) // 2)).tolist()
         out = np.empty(n, dtype=np.float64)
         for i in range(0, n, 2):
-            # u1 in (0, 1] so log() is finite; u2 in [0, 1).
-            u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53
-            u2 = self.uniform()
-            r = math.sqrt(-2.0 * math.log(u1))
-            out[i] = r * math.cos(2.0 * math.pi * u2)
+            # u1 in (0, 1] so log() is finite (the sum is exact); u2 in [0, 1).
+            r = math.sqrt(-2.0 * math.log(u[i] + 2.0**-53))
+            out[i] = r * math.cos(2.0 * math.pi * u[i + 1])
             if i + 1 < n:
-                out[i + 1] = r * math.sin(2.0 * math.pi * u2)
+                out[i + 1] = r * math.sin(2.0 * math.pi * u[i + 1])
         return mean + std * out
-
-    def _uniforms(self, n: int) -> np.ndarray:
-        """The next n `uniform()` draws in one uint64 pass, bit for bit.
-
-        Output k is the scrambled state seed + k*gamma (mod 2^64), so the
-        states are one wrapping multiply and the scrambler runs over all n.
-        """
-        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-        self._state = (self._state + n * _GOLDEN) & _MASK64
-        z ^= z >> 30
-        z *= 0xBF58476D1CE4E5B9
-        z ^= z >> 27
-        z *= 0x94D049BB133111EB
-        z ^= z >> 31
-        return (z >> 11).astype(np.float64) * 2.0**-53
 
     def uniform_matrix(self, rows: int, cols: int, lo: float, hi: float) -> np.ndarray:
         return (lo + (hi - lo) * self._uniforms(rows * cols)).reshape(rows, cols)

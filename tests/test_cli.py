@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -180,6 +181,22 @@ def test_train_ctrl_c_is_one_line_and_exit_130(run, tmp_path, monkeypatch):
                                        "--config", str(run.cfg_path), "--out", str(out)])
     assert (rc, stdout, err) == (cli.EXIT_INTERRUPTED, "", "interrupted\n")
     assert not out.exists()
+
+
+def test_train_sigterm_is_one_line_and_exit_143(run, tmp_path, monkeypatch):
+    # main handles SIGTERM only while a command runs, then puts back the
+    # handler it found.
+    def terminated(*args, **kwargs):
+        os.kill(os.getpid(), signal.SIGTERM)
+
+    monkeypatch.setattr(cli, "train", terminated)
+    before = signal.getsignal(signal.SIGTERM)
+    out = tmp_path / "out"
+    rc, stdout, err = run_interrupted(["train", "--data", str(run.data), "--test-pairs", "3",
+                                       "--config", str(run.cfg_path), "--out", str(out)])
+    assert (rc, stdout, err) == (cli.EXIT_TERMINATED, "", "terminated\n")
+    assert not out.exists()
+    assert signal.getsignal(signal.SIGTERM) is before
 
 
 def test_train_unknown_test_pair_is_data_error(run, tmp_path, capsys):
@@ -885,7 +902,12 @@ def test_stream_ctrl_c_writes_the_note_and_exits_130(run):
     assert rc == cli.EXIT_INTERRUPTED and "Traceback" not in err
     note, last = err.splitlines()
     assert note.startswith("stream: 9 forecasts, service time p50 ") and last == "interrupted"
-    out = out.splitlines()
+    assert_32_tick_forecasts(run, lines, wrench, out.splitlines())
+
+
+def assert_32_tick_forecasts(run, lines, wrench, out):
+    """`out` holds the 9 forecast lines of a 260 ms stream over the 40 tick
+    `lines`, each one predict_grip on its 32-tick window."""
     assert len(out) == 9
     params, _ = cli.load_checkpoint(run.ckpt)
     for end, line in enumerate(out, start=31):
@@ -893,6 +915,35 @@ def test_stream_ctrl_c_writes_the_note_and_exits_130(run):
         assert vals[0] == lines[end].split(",")[0]
         want = m.predict_grip(wrench[end - 31 : end + 1], params)
         assert np.array_equal(np.array([float(v) for v in vals[1:]]), want)
+
+
+@pytest.mark.parametrize("sig, code, last", [
+    (signal.SIGINT, cli.EXIT_INTERRUPTED, "interrupted"),
+    (signal.SIGTERM, cli.EXIT_TERMINATED, "terminated"),
+], ids=["sigint", "sigterm"])
+def test_stream_stopped_by_a_signal_writes_the_note(run, cli_env, sig, code, last):
+    # A live stream in its own process gets 40 ticks, writes its 9 forecasts
+    # and waits for more; then the signal comes. The child gets the default
+    # SIGINT action back, because a shell that starts a job in the background
+    # ignores SIGINT for it, and Python then installs no Ctrl-C handler.
+    lines, wrench = uniform_ticks(align_handover(load_recordings(run.data)[0]), 40)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gripforecast", "stream", "--model", str(run.ckpt)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=cli_env, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    proc.stdin.write("\n".join(lines) + "\n")
+    proc.stdin.flush()
+    out = [proc.stdout.readline().rstrip("\n") for _ in range(9)]
+    proc.send_signal(sig)
+    rest, err = proc.communicate(timeout=120)
+    assert proc.returncode == code and "Traceback" not in err
+    note, final = err.splitlines()
+    # A signal between the last line's write and its count leaves it out.
+    assert note.startswith(("stream: 9 forecasts, ", "stream: 8 forecasts, "))
+    assert final == last and rest == ""
+    assert_32_tick_forecasts(run, lines, wrench, out)
 
 
 def test_predict_window_with_gap_is_data_error(run, tmp_path):

@@ -21,7 +21,6 @@ from gripforecast.dataset import (
     NormStats,
     SamplingPolicy,
     TrainingSample,
-    _descending_grid,
     _grip_crossings,
     align_handover,
     apply_norm,
@@ -494,8 +493,36 @@ def test_grip_crossings_match_loop_version(signs):
 
 def test_default_grids():
     pol = SamplingPolicy()
-    assert pol.t_e_grid() == [0.0, -50.0, -100.0, -150.0, -200.0, -250.0]
-    assert pol.t_o_grid() == [-260.0, -510.0, -760.0, -1010.0, -1250.0]
+    assert pol.t_e_ms == (0.0, -50.0, -100.0, -150.0, -200.0, -250.0)
+    assert pol.t_o_ms == (-260.0, -510.0, -760.0, -1010.0, -1250.0)
+    assert pol.t_e_ms == tuple(_range_points(-250.0, 0.0, 50.0))
+    assert pol.t_o_ms == tuple(_range_points(-1250.0, -260.0, 250.0))  # last gap 240 ms
+
+
+def _range_points(lo, hi, stride):
+    """hi, hi - stride, ... down to lo, and lo itself: a grid by range and stride."""
+    values = []
+    v = hi
+    while v >= lo - 1e-9:
+        values.append(v)
+        v -= stride
+    if values[-1] > lo + 1e-9:
+        values.append(lo)
+    return values
+
+
+def test_explicit_irregular_grid_gives_its_windows_in_order():
+    # Steps from 120 Hz: t_e -120 ms is -14.4, rounded to -14, and the x of
+    # (-300, -120) spans 180 ms, 21.6 steps rounded to 22, so both t_e keep
+    # their x starts.
+    rec = make_record(n=300, k0=200)
+    rec.wrench[:, 0] = np.arange(300)
+    pol = SamplingPolicy(t_e_ms=(0.0, -120.0), t_o_ms=(-300.0, -700.0))
+    samples = extract_samples(rec, pol)
+    assert [(s.t_e_ms, s.t_o_ms) for s in samples] == [
+        (0.0, -300.0), (0.0, -700.0), (-120.0, -300.0), (-120.0, -700.0)]
+    assert [(s.x[0, 0], s.x[-1, 0]) for s in samples] == [
+        (164, 200), (116, 200), (164, 186), (116, 186)]
 
 
 def test_extract_full_grid_is_30_samples():
@@ -546,9 +573,9 @@ def test_window_family_names_its_rows(t_e_lo, t_e_stride, gap, t_o_span, t_o_str
                                       offset_ms):
     # A window's family start is its first row counted from the alignment
     # row, under any grid rounding, and apply_norm keeps the family.
-    policy = SamplingPolicy(t_e_range_ms=(t_e_lo, 0.0),
-                            t_o_range_ms=(t_e_lo - gap - t_o_span, t_e_lo - gap),
-                            t_e_stride_ms=t_e_stride, t_o_stride_ms=t_o_stride)
+    policy = SamplingPolicy(
+        t_e_ms=tuple(_range_points(t_e_lo, 0.0, t_e_stride)),
+        t_o_ms=tuple(_range_points(t_e_lo - gap - t_o_span, t_e_lo - gap, t_o_stride)))
     rec = make_record(offset_ms=offset_ms)
     samples = extract_samples(rec, policy)
     stats = NormStats(wrench_mean=np.full(6, 0.5), wrench_std=np.full(6, 2.0),
@@ -568,12 +595,7 @@ def test_extract_requires_alignment():
 
 
 def test_single_point_policy():
-    pol = SamplingPolicy(
-        t_e_range_ms=(0.0, 0.0),
-        t_o_range_ms=(-260.0, -260.0),
-        t_e_stride_ms=50.0,
-        t_o_stride_ms=250.0,
-    )
+    pol = SamplingPolicy(t_e_ms=(0.0,), t_o_ms=(-260.0,))
     rec = make_record()
     (sample,) = extract_samples(rec, pol)
     assert len(sample.x) == 32
@@ -581,33 +603,19 @@ def test_single_point_policy():
 
 
 def test_policy_rejects_overlapping_ranges():
-    with pytest.raises(ContractViolation):
-        SamplingPolicy(t_o_range_ms=(-1250.0, -200.0)).validate()
+    # A t_o of -200 ms lies after the t_e of -250 ms.
+    with pytest.raises(ContractViolation, match="before every t_e"):
+        SamplingPolicy(t_o_ms=(-1250.0, -200.0)).validate()
+    for empty in ({"t_e_ms": ()}, {"t_o_ms": ()}):
+        with pytest.raises(ContractViolation, match="at least one"):
+            SamplingPolicy(**empty).validate()
 
 
 def test_policy_rejects_zero_gap():
-    # t_o max of -1 ms maps to 0 steps before t_e min 0: X would be 1 step.
-    with pytest.raises(ContractViolation):
-        SamplingPolicy(t_o_range_ms=(-1250.0, -1.0)).validate()
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    hi=st.floats(-500.0, 500.0),
-    span=st.floats(1.0, 2000.0),
-    stride=st.floats(1.0, 500.0),
-)
-def test_descending_grid_brute_force(hi, span, stride):
-    lo = hi - span
-    grid = _descending_grid((lo, hi), stride)
-    assert grid[0] == hi
-    assert grid[-1] == pytest.approx(lo, abs=1e-9)
-    assert all(grid[i] > grid[i + 1] for i in range(len(grid) - 1))
-    # every point inside the range
-    assert all(lo - 1e-9 <= v <= hi + 1e-9 for v in grid)
-    # interior steps are exactly the stride
-    for i in range(len(grid) - 2):
-        assert grid[i] - grid[i + 1] == pytest.approx(stride, rel=1e-12)
+    # t_o of -1 ms maps to 0 steps before the t_e of 0: X would be 1 step.
+    with pytest.raises(ContractViolation, match="before every t_e"):
+        SamplingPolicy(t_e_ms=(0.0,), t_o_ms=(-1250.0, -1.0)).validate()
+    SamplingPolicy(t_e_ms=(0.0,), t_o_ms=(-1250.0, -5.0)).validate()  # 1 step: X has 2
 
 
 def test_training_sample_validation():

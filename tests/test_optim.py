@@ -459,7 +459,7 @@ def handovers():
 
 # t_o every 4 ms, under the 8.33 ms sample period: the 11 t_o values of each
 # handover start on 6 distinct steps, so windows of different t_o share roots.
-FINE_T_O = SamplingPolicy(t_o_range_ms=(-300.0, -260.0), t_o_stride_ms=4.0)
+FINE_T_O = SamplingPolicy(t_o_ms=tuple(-260.0 - 4.0 * k for k in range(11)))
 
 
 def _fine_t_o_grid(raw):

@@ -169,6 +169,26 @@ def test_generate_dataset_bytes_are_pinned():
     assert h.hexdigest() == "b262522d2703e3c750f29de2f8a9b1343f1eaf91de161c5605bf366c81c7d890"
 
 
+def test_reference_dataset_and_windows_bytes_are_pinned():
+    # The reference dataset (13 pairs x 10 handovers, seed 7) and its 3,900
+    # default windows, little-endian: ids, boundaries, x and y, in order.
+    records = generate_dataset(13, 10, seed=7)
+    h = hashlib.sha256()
+    for rec in records:
+        h.update(f"{rec.pair_id}/{rec.handover_id}\n".encode())
+        for arr in (rec.t_ms, rec.wrench, rec.grip_giver, rec.grip_taker):
+            h.update(arr.astype("<f8").tobytes())
+    assert h.hexdigest() == "1b415fa98df96bf0b244759c00ddf6ae6ed656934e5aac2872c4dbddc6a729de"
+    h = hashlib.sha256()
+    samples = [s for rec in records for s in extract_samples(align_handover(rec))]
+    for s in samples:
+        h.update(f"{s.pair_id}/{s.handover_id}/{s.t_o_ms!r}/{s.t_e_ms!r}\n".encode())
+        h.update(s.x.astype("<f8").tobytes())
+        h.update(s.y.astype("<f8").tobytes())
+    assert len(samples) == 3900
+    assert h.hexdigest() == "acb4e0cf35fa4b72da41f6f54b87d7398f5113ab8aa6220908d80f279d9350da"
+
+
 def test_generate_dataset_draws_stay_in_range():
     records = generate_dataset(8, 3, seed=11)
     for rec in records:
