@@ -113,34 +113,33 @@ def _fmt(value: float) -> str:
 # Checkpoint (de)serialization
 
 
+# The checkpoint header in file order, with this build's values. A checkpoint
+# loads only if each field has exactly this JSON type and value, except
+# `hidden`, which the model gives (None here) and must be an integer >= 1.
+CHECKPOINT_HEADER = {"format_version": CHECKPOINT_VERSION, "gate_order": m.GATE_ORDER,
+                     "hidden": None, "input_dim": m.INPUT_DIM, "horizon": HORIZON}
+# The normalization stats under "norm", in file order, with their shapes.
+CHECKPOINT_NORM = {"wrench_mean": (m.INPUT_DIM,), "wrench_std": (m.INPUT_DIM,),
+                   "grip_mean": (), "grip_std": ()}
+
+
 def save_checkpoint(path: str | Path, params: m.ModelParams, cfg: TrainConfig) -> None:
-    """Self-describing JSON: version, shapes, gate order, norm stats, config
-    echo. Weight arrays are flat row-major lists next to their shapes.
+    """Self-describing JSON: the CHECKPOINT_HEADER fields, the weights as flat
+    row-major lists next to their shapes, the CHECKPOINT_NORM stats, and the
+    config echo.
 
     The JSON goes to a sibling temp file that then replaces `path`, so a
     write that fails or is interrupted leaves any old checkpoint as it was
     and no temp file behind."""
     if params.norm is None:
         raise ContractViolation("checkpoint requires normalization stats on the model")
-    weights = {}
-    for name, arr in m.named_arrays(params):
-        weights[name] = {
-            "shape": list(arr.shape),
-            "data": [float(v) for v in arr.reshape(-1)],
-        }
     doc = {
-        "format_version": CHECKPOINT_VERSION,
-        "gate_order": m.GATE_ORDER,
+        **CHECKPOINT_HEADER,
         "hidden": params.hidden,
-        "input_dim": m.INPUT_DIM,
-        "horizon": HORIZON,
-        "weights": weights,
-        "norm": {
-            "wrench_mean": [float(v) for v in params.norm.wrench_mean],
-            "wrench_std": [float(v) for v in params.norm.wrench_std],
-            "grip_mean": float(params.norm.grip_mean),
-            "grip_std": float(params.norm.grip_std),
-        },
+        "weights": {name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+                    for name, arr in m.named_arrays(params)},
+        "norm": {key: np.asarray(getattr(params.norm, key), dtype=float).tolist()
+                 for key in CHECKPOINT_NORM},
         "train_config": dataclasses.asdict(cfg),
     }
     path = Path(path)
@@ -153,13 +152,6 @@ def save_checkpoint(path: str | Path, params: m.ModelParams, cfg: TrainConfig) -
     except BaseException:  # KeyboardInterrupt too
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _checkpoint_int(path: str | Path, doc: dict, key: str) -> int:
-    value = doc.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DataError(f"checkpoint {path}: {key!r} must be an integer, got {value!r}")
-    return value
 
 
 def _checkpoint_array(
@@ -199,36 +191,21 @@ def load_checkpoint(path: str | Path) -> tuple[m.ModelParams, dict]:
     loads always yields finite weights and usable normalization stats.
     """
     doc = _read_json_object(path, "checkpoint")
-    version = doc.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise DataError(
-            f"checkpoint {path} has format_version {version!r}; "
-            f"this build reads version {CHECKPOINT_VERSION}"
-        )
-    if doc.get("gate_order") != m.GATE_ORDER:
-        raise DataError(
-            f"checkpoint {path} declares gate_order {doc.get('gate_order')!r}, "
-            f"expected {m.GATE_ORDER!r}"
-        )
-    if doc.get("horizon") != HORIZON:
-        raise DataError(
-            f"checkpoint {path} declares horizon {doc.get('horizon')!r}, "
-            f"expected {HORIZON}"
-        )
-    hidden = _checkpoint_int(path, doc, "hidden")
-    if hidden < 1:
-        raise DataError(f"checkpoint {path}: 'hidden' must be >= 1, got {hidden}")
-    input_dim = _checkpoint_int(path, doc, "input_dim")
-    if input_dim != m.INPUT_DIM:
-        raise DataError(
-            f"checkpoint {path} declares input_dim {input_dim}, expected {m.INPUT_DIM}"
-        )
+    for key, want in CHECKPOINT_HEADER.items():
+        value = doc.get(key)
+        if want is None:  # hidden
+            ok, rule = type(value) is int and value >= 1, "an integer >= 1"
+        else:
+            ok, rule = type(value) is type(want) and value == want, json.dumps(want)
+        if not ok:
+            raise DataError(f"checkpoint {path}: {key!r} must be {rule}, got {json.dumps(value)}")
+    weights, norm = doc.get("weights"), doc.get("norm")
+    for key, block in (("weights", weights), ("norm", norm)):
+        if not isinstance(block, dict):
+            raise DataError(f"checkpoint {path} has no {key!r} object")
 
-    weights = doc.get("weights")
-    if not isinstance(weights, dict):
-        raise DataError(f"checkpoint {path} has no 'weights' object")
     arrays = []
-    for name, shape, _ in m.layout(hidden):
+    for name, shape, _ in m.layout(doc["hidden"]):
         entry = weights.get(name)
         if not isinstance(entry, dict):
             raise DataError(f"checkpoint {path} is missing weight {name!r}")
@@ -240,24 +217,13 @@ def load_checkpoint(path: str | Path) -> tuple[m.ModelParams, dict]:
         arrays.append(_checkpoint_array(path, f"weight {name!r}", entry.get("data"),
                                         (math.prod(shape),)))
 
-    norm_doc = doc.get("norm")
-    if not isinstance(norm_doc, dict):
-        raise DataError(f"checkpoint {path} has no normalization stats")
-    norm = NormStats(
-        wrench_mean=_checkpoint_array(path, "norm.wrench_mean",
-                                      norm_doc.get("wrench_mean"), (m.INPUT_DIM,)),
-        wrench_std=_checkpoint_array(path, "norm.wrench_std",
-                                     norm_doc.get("wrench_std"), (m.INPUT_DIM,)),
-        grip_mean=float(_checkpoint_array(path, "norm.grip_mean",
-                                          norm_doc.get("grip_mean"), ())),
-        grip_std=float(_checkpoint_array(path, "norm.grip_std",
-                                         norm_doc.get("grip_std"), ())),
-    )
-    if np.any(norm.wrench_std <= 0.0) or norm.grip_std <= 0.0:
-        raise DataError(
-            f"checkpoint {path}: normalization standard deviations must be > 0"
-        )
-    return m.ModelParams(np.concatenate(arrays), hidden, norm), doc
+    stats = {}
+    for key, shape in CHECKPOINT_NORM.items():
+        arr = _checkpoint_array(path, f"norm.{key}", norm.get(key), shape)
+        if key.endswith("_std") and np.any(arr <= 0.0):
+            raise DataError(f"checkpoint {path}: norm.{key} must be > 0")
+        stats[key] = arr if shape else float(arr)
+    return m.ModelParams(np.concatenate(arrays), doc["hidden"], NormStats(**stats)), doc
 
 
 # ---------------------------------------------------------------------------

@@ -199,11 +199,12 @@ def load_recordings(path: str) -> list[HandoverRecord]:
     """Parse a recording CSV into per-(pair, handover) records.
 
     Columns are found by their header names, so extra or reordered columns
-    load too. One np.loadtxt pass tokenizes each data row once (_parse_table).
-    Records come back sorted by (pair_id, handover_id), rows within a record
-    in file order, which must already be timestamp-ascending. The aligned
-    flag is false; call align_handover before extracting samples. A
-    malformed file raises DataError naming the row and field.
+    load too; a CSV_COLUMNS name may appear only once. One np.loadtxt pass
+    tokenizes each data row once (_parse_table). Records come back sorted by
+    (pair_id, handover_id), rows within a record in file order, which must
+    already be timestamp-ascending. The aligned flag is false; call
+    align_handover before extracting samples. A malformed file raises
+    DataError naming the row and field.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -212,6 +213,9 @@ def load_recordings(path: str) -> list[HandoverRecord]:
             missing = [c for c in CSV_COLUMNS if c not in index]
             if missing:
                 raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
+            repeated = [c for c in CSV_COLUMNS if header.count(c) > 1]
+            if repeated:
+                raise DataError(f"{path}: repeated column(s) {', '.join(repeated)}")
             try:
                 table = _parse_table(fh, index)
             except ValueError as exc:

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import errno
+import hashlib
 import io
 import json
 import math
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from gripforecast import cli
 from gripforecast import model as m
 from gripforecast.dataset import (
+    NormStats,
     PERIOD_MS,
     align_handover,
     load_recordings,
@@ -134,6 +136,24 @@ def test_checkpoint_round_trip_bit_exact(run, tmp_path):
     cfg = TrainConfig(**json.loads(run.ckpt.read_text())["train_config"])
     cli.save_checkpoint(again, params, cfg)
     assert again.read_bytes() == run.ckpt.read_bytes()
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # The sha256 pins the checkpoint format: a change to any byte of it
+    # shows here, and a file saved by an older build must load the same.
+    norm = NormStats(np.linspace(-1, 1, 6), np.linspace(0.5, 2, 6), 0.25, 1.75)
+    params = replace(m.init_params(3, 8), norm=norm)
+    path = tmp_path / "checkpoint.json"
+    cli.save_checkpoint(path, params, TrainConfig(hidden=8))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "dc087bceadf1ce11774291f2d9c598a926291142eeb0548de533c10e06c4324b")
+    loaded, _ = cli.load_checkpoint(path)
+    assert loaded.hidden == 8
+    assert loaded.flat.tobytes() == params.flat.tobytes()
+    for field in ("wrench_mean", "wrench_std"):
+        assert getattr(loaded.norm, field).tobytes() == getattr(norm, field).tobytes()
+    assert (loaded.norm.grip_mean, loaded.norm.grip_std) == (0.25, 1.75)
+    assert type(loaded.norm.grip_mean) is type(loaded.norm.grip_std) is float
 
 
 @pytest.mark.parametrize("failure", [OSError(errno.ENOSPC, "No space left on device"),
@@ -468,7 +488,17 @@ MALFORMED_CHECKPOINTS = {
                        "norm.wrench_std"),
     "zero_wrench_std": (("norm", "wrench_std"), [0.0] * 6, "> 0"),
     "negative_wrench_std": (("norm", "wrench_std"), [-1.0] + [1.0] * 5, "> 0"),
+    "zero_grip_std": (("norm", "grip_std"), 0.0, "norm.grip_std must be > 0"),
     "int_beyond_float": (("norm", "grip_std"), 10**400, "norm.grip_std"),
+    "wrong_gate_order": (("gate_order",), "ifog", "gate_order"),
+    "wrong_horizon": (("horizon",), 69, "horizon"),
+    "float_horizon": (("horizon",), 70.0, "horizon"),
+    "bool_format_version": (("format_version",), True, "format_version"),
+    "zero_hidden": (("hidden",), 0, "'hidden'"),
+    "missing_weights": (("weights",), None, "'weights'"),
+    "missing_norm": (("norm",), None, "'norm'"),
+    "missing_weight_entry": (("weights", "layer2.b"), None, "'layer2.b'"),
+    "wrong_weight_shape": (("weights", "head_b", "shape"), [7, 10], "'head_b' declares shape"),
 }
 # case -> (file bytes, text the error must name)
 UNREADABLE_CHECKPOINTS = {

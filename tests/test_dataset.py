@@ -109,6 +109,18 @@ def test_load_missing_column_is_named(tmp_path):
         load_recordings(p)
 
 
+def test_load_repeated_column_is_named(tmp_path):
+    # A second copy of a column would shadow the first; only columns the
+    # loader ignores may repeat.
+    p = tmp_path / "d.csv"
+    header = [*CSV_COLUMNS, "fz_N", "note", "pair_id", "note"]
+    _write_csv(p, [_tick_row("1", "1", 0.0) + [999.0, "a", "2", "b"]], header=header)
+    with pytest.raises(DataError, match="repeated column.*pair_id, fz_N"):
+        load_recordings(p)
+    _write_csv(p, [_tick_row("1", "1", 0.0) + ["a", "b"]], header=[*CSV_COLUMNS, "note", "note"])
+    assert load_recordings(p)[0].wrench[0].tolist() == [1.0, 0.1, 0.2, 0.01, 0.02, 0.03]
+
+
 def test_load_bad_value_names_row_and_field(tmp_path):
     p = tmp_path / "d.csv"
     row = _tick_row("1", "1", 0.0)

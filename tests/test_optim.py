@@ -347,6 +347,31 @@ def test_gradient_clipping_rescales_to_threshold():
     assert total > 0
 
 
+def test_train_with_clipping_hands_adam_clipped_gradients(monkeypatch):
+    samples = make_samples(8)
+    real = optim.adam_step
+
+    def run(threshold):
+        norms = []
+
+        def recording(params, grads, state, cfg):
+            norms.append(float(np.sqrt(np.dot(grads.flat, grads.flat))))
+            return real(params, grads, state, cfg)
+
+        monkeypatch.setattr(optim, "adam_step", recording)
+        cfg = TrainConfig(epochs=3, batch_size=4, hidden=4, seed=9, clip_threshold=threshold)
+        params, hist = train(samples, samples[:2], cfg, unit_norm())
+        return norms, params.flat.tobytes() + np.array([hist.train, hist.test]).tobytes()
+
+    raw, unclipped = run(None)
+    threshold = 0.5 * float(np.median(raw))
+    norms, _ = run(threshold)
+    assert all(n <= threshold * (1 + 1e-12) for n in norms)
+    assert any(n >= threshold * (1 - 1e-12) for n in norms)  # scaled down to the threshold
+    _, loose = run(2.0 * max(raw))
+    assert loose == unclipped
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
