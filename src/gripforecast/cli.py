@@ -157,10 +157,12 @@ def save_checkpoint(path: str | Path, params: m.ModelParams, cfg: TrainConfig) -
 def _checkpoint_array(
     path: str | Path, what: str, value: object, shape: tuple[int, ...]
 ) -> np.ndarray:
-    """A finite float array of exactly `shape` from a JSON value."""
+    """A finite float array of exactly `shape` from a JSON number or a list of them."""
+    if not set(map(type, value if type(value) is list else [value])) <= {int, float}:
+        raise DataError(f"checkpoint {path}: {what} is not numeric")
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond float
+    except OverflowError as exc:  # an int beyond float
         raise DataError(f"checkpoint {path}: {what} is not numeric") from exc
     if arr.shape != shape:
         raise DataError(
@@ -173,10 +175,22 @@ def _checkpoint_array(
 
 
 def _read_json_object(path: str | Path, what: str) -> dict:
-    """The JSON object in the file at `path`; DataError names `what` and the path."""
+    """The JSON object in the file at `path`; DataError names `what` and the path.
+    An object at any depth that names a key twice is refused."""
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            key = next(k for k in keys if keys.count(k) > 1)
+            raise DataError(f"{what} {path} names key {key!r} twice")
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique)
+    except DataError:
+        raise
     except ValueError as exc:  # bad JSON, not UTF-8, or an int too long to parse
         raise DataError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

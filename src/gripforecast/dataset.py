@@ -12,7 +12,8 @@ sample), with t_e in {0, -50, -100, -150, -200, -250} ms and t_o in {-260,
 -510, -760, -1010, -1250} ms (the last gap is 240 ms). A window's x and y are
 read-only views of its record, and apply_norm z-scores a record's rows once
 and hands out views of them. The normalization stats are fit over the
-training windows read in pieces of bounded size, never concatenated, with
+training windows read in pieces of bounded size, each one copied afresh
+from the windows it spans (_piece), never the windows concatenated, with
 the bits numpy gives for the concatenation.
 """
 
@@ -21,7 +22,9 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import NoReturn, TextIO
 
 import numpy as np
@@ -475,54 +478,36 @@ def split_by_pair(
 _FIT_CHUNK = 1 << 14
 
 
-class _Reader:
-    """The concatenation of arrays along axis 0, read front to back in pieces
-    of at most `rows` rows, so that a piece holds at most _FIT_CHUNK values.
-
-    read(n) copies the next n rows into rows 1 to n of one reused buffer
-    (minus `center` and squared, if given) and returns buffer rows 0 to n;
-    row 0 is the caller's to fill.
-    """
-
-    def __init__(self, arrays: list[np.ndarray], center: np.ndarray | float | None):
-        row_shape = arrays[0].shape[1:]
-        self.rows = _FIT_CHUNK // math.prod(row_shape)
-        self._buf = np.empty((self.rows + 1, *row_shape))
-        self._arrays = iter(arrays)
-        self._rest = arrays[0][:0]
-        self._center = center
-
-    def read(self, n: int) -> np.ndarray:
-        block = self._buf[: n + 1]
-        parts = []
-        while n > len(self._rest):
-            parts.append(self._rest)
-            n -= len(self._rest)
-            self._rest = next(self._arrays)
-        parts.append(self._rest[:n])
-        self._rest = self._rest[n:]
-        np.concatenate(parts, out=block[1:])
-        if self._center is not None:
-            block[1:] -= self._center
-            block[1:] *= block[1:]
-        return block
+def _piece(arrays: list[np.ndarray], starts: list[int], lo: int, hi: int,
+           center: np.ndarray | float | None = None) -> np.ndarray:
+    """Rows lo to hi of the arrays' concatenation, as a new float array, minus
+    `center` and squared if given. `starts` holds each array's first row, then
+    the total; only the first and last array the piece touches are sliced."""
+    first, last = bisect_right(starts, lo) - 1, bisect_left(starts, hi) - 1
+    parts = arrays[first : last + 1]
+    parts[-1] = parts[-1][: hi - starts[last]]  # the end first: one array may be both
+    parts[0] = parts[0][lo - starts[first] :]
+    piece = np.concatenate(parts, dtype=float)
+    if center is not None:
+        piece -= center
+        piece *= piece
+    return piece
 
 
 def _row_sum(arrays: list[np.ndarray], center: np.ndarray | None = None) -> np.ndarray:
     """np.add.reduce(axis=0) over the concatenated (rows, 6) arrays, bit for bit.
 
-    numpy adds the rows of a C-ordered 2-d array in order onto a zero row,
-    so reducing each piece with the running sum as its first row makes the
-    same additions in the same order.
+    numpy adds the rows of a C-ordered 2-d array in order onto the first, so
+    adding the running sum into each piece's first row makes the same
+    additions in the same order.
     """
-    reader = _Reader(arrays, center)
+    starts = list(accumulate(map(len, arrays), initial=0))
     total = np.zeros(arrays[0].shape[1])
-    left = sum(map(len, arrays))
-    while left:
-        block = reader.read(min(reader.rows, left))
-        block[0] = total
-        total = np.add.reduce(block, axis=0)
-        left -= len(block) - 1
+    step = _FIT_CHUNK // len(total)
+    for lo in range(0, starts[-1], step):
+        piece = _piece(arrays, starts, lo, min(lo + step, starts[-1]), center)
+        piece[0] += total
+        total = np.add.reduce(piece, axis=0)
     return total
 
 
@@ -534,15 +519,15 @@ def _pairwise_sum(arrays: list[np.ndarray], center: float | None = None) -> floa
     above _FIT_CHUNK values are replayed here; below that, np.add.reduce of
     one piece is that subtree itself.
     """
-    reader = _Reader(arrays, center)
+    starts = list(accumulate(map(len, arrays), initial=0))
 
-    def tree(n: int) -> float:
-        if n <= reader.rows:
-            return float(np.add.reduce(reader.read(n)[1:]))
+    def tree(lo: int, n: int) -> float:
+        if n <= _FIT_CHUNK:
+            return float(np.add.reduce(_piece(arrays, starts, lo, lo + n, center)))
         half = n // 2 - n // 2 % 8
-        return tree(half) + tree(n - half)
+        return tree(lo, half) + tree(lo + half, n - half)
 
-    return tree(sum(map(len, arrays)))
+    return tree(0, starts[-1])
 
 
 def fit_norm_stats(train: list[TrainingSample]) -> NormStats:

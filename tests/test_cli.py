@@ -268,6 +268,7 @@ def test_train_config_unknown_key_is_data_error(run, tmp_path, capsys):
     (b'{"batch_size": true}', "batch_size"),
     (b'{"clip_threshold": -1}', "clip_threshold"),
     (b'\xff\xfe{"epochs": 1}', "not valid JSON"),
+    (b'{"epochs": 1, "hidden": 4, "epochs": 2}', "names key 'epochs' twice"),
 ])
 def test_train_config_wrong_type_is_data_error(run, tmp_path, capsys, text, field):
     bad = tmp_path / "bad.json"
@@ -477,7 +478,8 @@ def test_eval_version_mismatch_is_data_error(run, tmp_path, capsys):
     assert "format_version" in capsys.readouterr().err
 
 
-# case -> (field path, replacement or None to delete it, text the error must name)
+# case -> (field path, its last step a key or a list index; replacement or None
+# to delete it; text the error must name)
 MALFORMED_CHECKPOINTS = {
     "missing_hidden": (("hidden",), None, "'hidden'"),
     "string_hidden": (("hidden",), "6", "'hidden'"),
@@ -499,12 +501,22 @@ MALFORMED_CHECKPOINTS = {
     "missing_norm": (("norm",), None, "'norm'"),
     "missing_weight_entry": (("weights", "layer2.b"), None, "'layer2.b'"),
     "wrong_weight_shape": (("weights", "head_b", "shape"), [7, 10], "'head_b' declares shape"),
+    "string_grip_std": (("norm", "grip_std"), "1.75", "norm.grip_std is not numeric"),
+    "bool_grip_std": (("norm", "grip_std"), True, "norm.grip_std is not numeric"),
+    "string_wrench_mean": (("norm", "wrench_mean"), ["0"] * 6,
+                           "norm.wrench_mean is not numeric"),
+    "string_in_weights": (("weights", "head_b", "data", 3), "0.5", "'head_b' is not numeric"),
+    "bool_in_weights": (("weights", "head_b", "data", 3), True, "'head_b' is not numeric"),
+    "all_strings_weight": (("weights", "layer1.b", "data"), ["0.0"] * 4 * SMALL_CFG["hidden"],
+                           "'layer1.b' is not numeric"),
 }
 # case -> (file bytes, text the error must name)
 UNREADABLE_CHECKPOINTS = {
     "not_an_object": (b"[1, 2]", "JSON object"),
     "not_utf8": (b"\xff\xfe{}", "not valid JSON"),
     "int_too_long_to_parse": (b'{"hidden": 1' + b"0" * 5000 + b"}", "not valid JSON"),
+    "repeated_key": (b'{"norm": {"grip_mean": 0.0, "grip_std": 1.0, "grip_std": 2.0}}',
+                     "names key 'grip_std' twice"),
 }
 
 

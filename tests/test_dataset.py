@@ -699,6 +699,22 @@ def test_fit_norm_stats_matches_concatenation_over_mixed_records(monkeypatch, ch
     assert stats.grip_mean == ys.mean() and stats.grip_std == ys.std()
 
 
+def test_fit_norm_stats_matches_concatenation_with_pieces_on_window_starts(monkeypatch):
+    # 40 windows of 32 rows and a piece of exactly one window's wrench values:
+    # every wrench piece starts on a window's first row, the edge of the
+    # search for the window that holds a piece's first row.
+    monkeypatch.setattr(dataset, "_FIT_CHUNK", 32 * 6)
+    rng = np.random.default_rng(6)
+    base = rng.normal(3.0, 20.0, size=(40 * 32, 6))
+    grip = rng.normal(5.0, 2.0, size=40 * HORIZON)
+    samples = [TrainingSample("1", "1", -260.0, 0.0, base[32 * i : 32 * (i + 1)],
+                              grip[HORIZON * i : HORIZON * (i + 1)]) for i in range(40)]
+    stats = fit_norm_stats(samples)
+    assert stats.wrench_mean.tobytes() == base.mean(axis=0).tobytes()
+    assert stats.wrench_std.tobytes() == base.std(axis=0).tobytes()
+    assert stats.grip_mean == grip.mean() and stats.grip_std == grip.std()
+
+
 @pytest.mark.filterwarnings("error")
 def test_fit_norm_stats_rejects_overflowing_channel_by_name():
     # Finite values near float64's largest overflow the sum; the channel is
@@ -716,18 +732,27 @@ def test_fit_norm_stats_rejects_overflowing_channel_by_name():
 def test_fit_norm_stats_never_concatenates_the_windows():
     # 2,000 windows of 100 rows, views into one recording: concatenating
     # them would take 9.6 MB (and numpy's std one more copy); the pieces
-    # take 128 kB.
+    # take 128 kB. One window of 200,000 rows (9.6 MB) and 200,000 grip
+    # values: a piece copies only its own rows of it, and the stats are the
+    # window's own, bit for bit.
     base = np.random.default_rng(4).normal(0.0, 1.0, size=(2_100, 6))
     grip = np.random.default_rng(5).normal(5.0, 1.0, size=2_100)
-    samples = [TrainingSample("1", "1", 0.0, 0.0, base[i : i + 100], grip[i : i + HORIZON])
-               for i in range(2_000)]
-    tracemalloc.start()
-    try:
-        fit_norm_stats(samples)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    many = [TrainingSample("1", "1", 0.0, 0.0, base[i : i + 100], grip[i : i + HORIZON])
+            for i in range(2_000)]
+    rng = np.random.default_rng(7)
+    x, y = rng.normal(2.0, 3.0, size=(200_000, 6)), rng.normal(5.0, 1.0, size=200_000)
+    one = [TrainingSample("1", "1", 0.0, 0.0, x, y)]
+    for samples in (many, one):
+        tracemalloc.start()
+        try:
+            stats = fit_norm_stats(samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+    assert stats.wrench_mean.tobytes() == x.mean(axis=0).tobytes()
+    assert stats.wrench_std.tobytes() == x.std(axis=0).tobytes()
+    assert stats.grip_mean == y.mean() and stats.grip_std == y.std()
 
 
 def test_fit_norm_stats_rejects_degenerate_channel_by_name():

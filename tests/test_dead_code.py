@@ -1,0 +1,48 @@
+"""Every module-level private name in src/ is used there: code that nothing
+calls is deleted, not kept."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gripforecast"
+
+
+def _uses(node: ast.AST) -> Counter:
+    """How often each name is read, as a name, an attribute or an import, in `node`."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name] += 1
+    return found
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, defining statement) of each module-level private name, dunders aside."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, stmt
+
+
+def test_every_private_module_name_is_used_in_src():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert "dataset.py" in trees
+    uses = sum((_uses(tree) for tree in trees.values()), Counter())
+    unused = [f"{module}: {name}"
+              for module, tree in trees.items()
+              for name, stmt in _private_definitions(tree)
+              if uses[name] == _uses(stmt)[name]]
+    assert not unused, unused
