@@ -285,19 +285,25 @@ def _read_ticks(
     """The one tick reader: yields (t_ms, wrench, restart) per tick, lazily.
 
     Blank lines and a header on line 1 are skipped. A timestamp that does
-    not increase is a DataError. With `strict` (predict), so is a malformed
-    line or a spacing more than 1% off the 120 Hz period (dataset.spacing_off),
-    named by line. Otherwise (stream) a malformed line is skipped with one
+    not increase is a DataError. With `strict` (predict), so is a line 1
+    that is not the header (or no line at all), a malformed line or a
+    spacing more than 1% off the 120 Hz period (dataset.spacing_off), named
+    by line. Otherwise (stream) a malformed line is skipped with one
     `malformed tick` note on stderr, and an off spacing gets its own note and
     yields restart=True: the caller starts a new window at that tick. Text
     that is not UTF-8 is a DataError naming the last line read before it.
     """
+    no_header = f"{source}: line 1 must be the header {','.join(WRENCH_CSV_HEADER)!r}"
     last_t: float | None = None
     lineno = 0
     try:
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
-            if not line or (lineno == 1 and _is_header(line)):
+            if lineno == 1 and _is_header(line):
+                continue
+            if lineno == 1 and strict:
+                raise DataError(no_header)
+            if not line:
                 continue
             try:
                 t_ms, wrench = _parse_tick(line)
@@ -319,7 +325,9 @@ def _read_ticks(
                 print(f"{gap}; the window restarts at this tick", file=sys.stderr)
             last_t = t_ms
             yield t_ms, wrench, restart
-    except UnicodeDecodeError as exc:  # raised by `lines` itself, a text stream
+        if lineno == 0 and strict:
+            raise DataError(no_header)
+    except UnicodeDecodeError as exc:  # raised by `lines` itself, as it decodes
         raise DataError(
             f"{source}: text after line {lineno} is not UTF-8 ({exc.reason})") from None
 
@@ -445,15 +453,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 @np.errstate(all="ignore")  # an overflow shows as a non-finite forecast, checked below
 def cmd_predict(args: argparse.Namespace) -> int:
     params, _ = load_checkpoint(args.model)
-    try:
-        with open(args.input, encoding="utf-8", newline="") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{args.input} is not UTF-8 text ({exc.reason})") from None
-    if not lines or not _is_header(lines[0]):
-        raise DataError(f"{args.input}: line 1 must be the header "
-                        f"{','.join(WRENCH_CSV_HEADER)!r}")
-    ticks = list(_read_ticks(lines, str(args.input), strict=True))
+    with open(args.input, "rb") as fh:  # line by line, so a UTF-8 error names its line
+        lines = (line.decode("utf-8") for line in fh.read().splitlines())
+        ticks = list(_read_ticks(lines, str(args.input), strict=True))
     if not ticks:
         raise DataError(f"{args.input} has a header but no ticks")
     forecast = m.predict_grip(np.asarray([wrench for _, wrench, _ in ticks]), params)

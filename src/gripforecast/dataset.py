@@ -314,18 +314,6 @@ def save_recordings(records: list[HandoverRecord], path: str) -> None:
                 )
 
 
-def _grip_crossings(giver: np.ndarray, taker: np.ndarray) -> tuple[list[int], list[int]]:
-    """Indices where (giver - taker) changes sign.
-
-    Returns (downward, upward): downward crossings are indices k with
-    d[k-1] > 0 and d[k] <= 0; upward the reverse.
-    """
-    pos = (giver - taker) > 0
-    down = (np.flatnonzero(pos[:-1] & ~pos[1:]) + 1).tolist()
-    up = (np.flatnonzero(~pos[:-1] & pos[1:]) + 1).tolist()
-    return down, up
-
-
 def align_handover(record: HandoverRecord) -> HandoverRecord:
     """Shift timestamps so t=0 sits on the grip-force intersection.
 
@@ -334,8 +322,8 @@ def align_handover(record: HandoverRecord) -> HandoverRecord:
     ambiguity must surface, not be guessed away.
     """
     record.validate()
-    down, up = _grip_crossings(record.grip_giver, record.grip_taker)
-    changes = sorted(down + up)
+    pos = (record.grip_giver - record.grip_taker) > 0
+    changes = (np.flatnonzero(pos[1:] != pos[:-1]) + 1).tolist()
     if not changes:
         raise DataError(
             f"handover ({record.pair_id}, {record.handover_id}): grip forces "
@@ -346,17 +334,13 @@ def align_handover(record: HandoverRecord) -> HandoverRecord:
             f"handover ({record.pair_id}, {record.handover_id}): multiple grip "
             f"crossings at sample indices {changes}"
         )
-    if not down:
+    k = changes[0]
+    if pos[k]:
         raise DataError(
             f"handover ({record.pair_id}, {record.handover_id}): grip difference "
-            f"only crosses upward (at index {changes[0]}); no giver release found"
+            f"only crosses upward (at index {k}); no giver release found"
         )
-    k = down[0]
-    return replace(
-        record,
-        t_ms=record.t_ms - record.t_ms[k],
-        aligned=True,
-    )
+    return replace(record, t_ms=record.t_ms - record.t_ms[k], aligned=True)
 
 
 def _zero_index(record: HandoverRecord) -> int:
@@ -537,13 +521,15 @@ def fit_norm_stats(train: list[TrainingSample]) -> NormStats:
     windows, mean and std as numpy computes them, bit for bit, but the
     windows are read in pieces of _FIT_CHUNK values and never concatenated.
     A channel whose mean or std is not finite (its values overflow float64)
-    or whose std is below 1e-12 is rejected by name.
+    or whose std is below 1e-12 is rejected by name; windows without a
+    wrench row or a grip value between them break the contract.
     """
-    if not train:
-        raise ContractViolation("fit_norm_stats needs a non-empty training set")
     xs = [s.x for s in train]
     ys = [s.y for s in train]
     n_x, n_y = sum(len(x) for x in xs), sum(len(y) for y in ys)
+    if not (n_x and n_y):
+        raise ContractViolation(
+            "fit_norm_stats needs training windows with at least one wrench row and grip value")
     with np.errstate(over="ignore", invalid="ignore"):  # checked by name below
         wrench_mean = _row_sum(xs) / n_x
         wrench_std = np.sqrt(_row_sum(xs, wrench_mean) / n_x)

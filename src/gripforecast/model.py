@@ -10,12 +10,10 @@ The batch is the only interface: forward_batch and backward_batch take
 (T, B, 6) columns, and a single window is the batch B=1, as in predict_grip.
 Both read several windows off one column, since any prefix of a column is
 itself a window. forward_batch is the inference pass: its columns come
-longest first and may be zero-padded, and at each step only the columns
-still running advance, so padding is never computed. It runs both layers
-over one block of steps at a time and keeps no (T, B, H) array, so its
-memory is bounded by the block (FORWARD_BLOCK_BYTES of gates), not by T.
-WindowStream is predict_grip for a stream of ticks: it keeps forward_batch's
-prepared layers and buffers, and the normalized window, from tick to tick.
+longest first and may be zero-padded, and _Encoder runs both layers over
+one block of steps at a time, never over padding, so memory is bounded by
+the block, not by T. WindowStream is predict_grip for a stream of ticks: it
+keeps one prepared _Encoder and the normalized window from tick to tick.
 backward_batch runs every column for all T steps and keeps the
 activations BPTT needs. Both advance a layer through one cell loop
 (_Cell.run). Only the recurrent product h_{t-1} @ W_hh^T (and, in BPTT,
@@ -28,7 +26,6 @@ per block of steps.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -363,7 +360,7 @@ def _windows(xs: np.ndarray, ends: Ends | None,
     return xs, steps, cols
 
 
-FORWARD_BLOCK_BYTES = 1 << 20  # gate buffer of one forward_batch block
+FORWARD_BLOCK_BYTES = 1 << 20  # gate buffer of one _Encoder block
 
 
 def forward_batch(xs: np.ndarray, p: ModelParams, ends: Ends | None = None) -> np.ndarray:
@@ -371,72 +368,67 @@ def forward_batch(xs: np.ndarray, p: ModelParams, ends: Ends | None = None) -> n
 
     Windows are given by `ends` as in backward_batch, and row n of the result
     is window n's forecast. Column c runs for 1 + its largest end step, and
-    the columns must come longest first, so at step t the columns still
-    running are the first width[t]. Only those advance: steps past a
-    column's end (padding) are never computed or read. No BPTT cache is kept.
-
-    Each run of steps of one width w is cut into blocks of
-    FORWARD_BLOCK_BYTES // (w * 4H * 8) steps. Both layers advance over a
-    block before the next one starts, each with one input projection into
-    a gate buffer shared by every block and both layers, and the (h, c) of
-    both layers carry over from block to block. The top layer's h is copied
-    out only at the windows' end steps, so memory per call is bounded by
-    the block, not by T; at B=1 a window of up to 819 steps (H=40) is one
-    block. OpenBLAS rounds a product of 1 to 7 rows differently from a
-    taller one, so a block projects at least 8 rows unless its whole run
-    has fewer: it takes at least ceil(8 / w) steps, and a shorter last
-    block joins the one before it. The forecasts are then those of whole-
-    layer passes, bit for bit.
+    the columns must come longest first; steps past a column's end (padding)
+    are never computed or read. No BPTT cache is kept, and memory per call
+    is bounded by one _Encoder block, not by T.
     """
     xs, steps, cols = _windows(xs, ends, "forward_batch")
-    lengths = np.zeros(xs.shape[1], dtype=np.intp)
-    np.maximum.at(lengths, cols, steps + 1)
-    if np.any(lengths[1:] > lengths[:-1]):
-        raise ContractViolation("forward_batch needs its columns longest first")
-    encoder = _Encoder(p, lengths)
-    order = np.argsort(steps, kind="stable")  # windows by end step
-    by_step, by_col = steps[order], cols[order]
-    his = np.searchsorted(by_step, [b1 for _, b1, _ in encoder.blocks]).tolist()
-    h_top = np.empty((len(steps), p.hidden))
-    lo = 0
-    for (b0, _, _), hi, hs in zip(encoder.blocks, his, encoder.run(xs)):
-        h_top[order[lo:hi]] = hs[by_step[lo:hi] - b0, by_col[lo:hi]]
-        lo = hi
-    return head(h_top, p)
+    return head(_Encoder(p, steps, cols, xs.shape[1]).run(xs), p)
 
 
 class _Encoder:
-    """Both layers prepared for a batch whose columns run `lengths` steps,
-    longest first: forward_batch's block plan, the two _Cells, one set of
-    block buffers and the carried (h, c). None of it depends on the inputs'
-    values, so a caller that runs many batches of one shape prepares it once.
+    """Both layers prepared for a fixed set of windows of a batch of `batch`
+    columns: window n ends at step steps[n] of column cols[n]. None of it
+    depends on the inputs' values, so a caller that runs many batches of one
+    shape prepares it once.
+
+    Column c runs for 1 + its largest end step, and the columns must come
+    longest first, so at step t the columns still running are the first
+    width[t]; only those advance. Each run of steps of one width w is cut
+    into blocks of FORWARD_BLOCK_BYTES // (w * 4H * 8) steps. Both layers
+    advance over a block before the next one starts, each with one input
+    projection into a gate buffer shared by every block and both layers,
+    and the (h, c) of both layers carry over from block to block. The top
+    layer's h is copied out only for the windows that end in the block; at
+    B=1 a window of up to 819 steps (H=40) is one block. OpenBLAS rounds a
+    product of 1 to 7 rows differently from a taller one, so a block
+    projects at least 8 rows unless its whole run has fewer: it takes at
+    least ceil(8 / w) steps, and a shorter last block joins the one before
+    it. The states are then those of whole-layer passes, bit for bit.
     """
 
-    def __init__(self, p: ModelParams, lengths: np.ndarray):
+    def __init__(self, p: ModelParams, steps: np.ndarray | list[int],
+                 cols: np.ndarray | list[int], batch: int):
         h = self.hidden = p.hidden
+        steps, cols = np.asarray(steps), np.asarray(cols)
+        lengths = np.zeros(batch, dtype=np.intp)
+        np.maximum.at(lengths, cols, steps + 1)
+        if np.any(lengths[1:] > lengths[:-1]):
+            raise ContractViolation("forward_batch needs its columns longest first")
         ends_of_runs = sorted(set(lengths.tolist()) - {0})
-        self.steps = ends_of_runs[-1]
-        self.blocks = []  # (first step, end step, width)
+        self.steps, self.windows = ends_of_runs[-1], len(steps)
+        self.blocks = []  # (first step, end step, width, windows ending here, their rows, columns)
         for t0, t1 in zip([0, *ends_of_runs], ends_of_runs):
             w = int(np.count_nonzero(lengths >= t1))
             n = max(-(-8 // w), FORWARD_BLOCK_BYTES // (w * 4 * h * 8))
             cuts = list(range(t0, t1, n))
             if len(cuts) > 1 and (t1 - cuts[-1]) * w < 8:
                 cuts.pop()  # the short tail joins the block before it
-            self.blocks += [(b0, b1, w) for b0, b1 in zip(cuts, [*cuts[1:], t1])]
-        size = max((b1 - b0) * w for b0, b1, w in self.blocks)
+            for b0, b1 in zip(cuts, [*cuts[1:], t1]):
+                mine = np.flatnonzero((steps >= b0) & (steps < b1))
+                self.blocks.append((b0, b1, w, mine, steps[mine] - b0, cols[mine]))
+        size = max((b1 - b0) * w for b0, b1, w, *_ in self.blocks)
         self.buffers = np.empty(size * 4 * h), np.empty(size * h), np.empty(size * h)
-        self.cells = _Cell(p.layer1, lengths.size), _Cell(p.layer2, lengths.size)
-        self.carry = np.empty((2, 2, lengths.size, h))  # (h, c) after the last block, per layer
+        self.cells = _Cell(p.layer1, batch), _Cell(p.layer2, batch)
+        self.carry = np.empty((2, 2, batch, h))  # (h, c) after the last block, per layer
 
-    def run(self, xs: np.ndarray) -> Iterator[np.ndarray]:
-        """Advance both layers over the (T, B, 6) inputs block by block, in
-        the order of self.blocks, from zero state at step 0. Yields each
-        block's top-layer hs, (b1 - b0, w, H), valid until the next block.
-        """
+    def run(self, xs: np.ndarray) -> np.ndarray:
+        """The (N, H) top-layer states at the windows' ends, in window order,
+        of both layers run over the (T, B, 6) inputs from zero state."""
         h = self.hidden
         gate_buf, c_buf, h_buf = self.buffers
-        for b0, b1, w in self.blocks:
+        h_top = np.empty((self.windows, h))
+        for b0, b1, w, mine, rows, cols in self.blocks:
             gates, cs, hs = (buf[: (b1 - b0) * w * k].reshape(b1 - b0, w, k)
                              for buf, k in ((gate_buf, 4 * h), (c_buf, h), (h_buf, h)))
             inputs = xs[b0:b1, :w]
@@ -446,7 +438,8 @@ class _Encoder:
                 if b1 < self.steps:  # a next block starts from this state
                     state[0, :w], state[1, :w] = hs[-1], cs[-1]
                 inputs = hs  # read into the gates before the next layer overwrites it
-            yield hs
+            h_top[mine] = hs[rows, cols]
+        return h_top
 
 
 def backward_batch(
@@ -529,7 +522,7 @@ class WindowStream:
         if p.norm is None:
             raise ContractViolation("model has no normalization stats attached")
         self.p, self.n = p, n
-        self.encoder = _Encoder(p, np.array([n]))
+        self.encoder = _Encoder(p, [n - 1], [0], 1)
         self.ring = np.empty((2 * n, 1, INPUT_DIM))
         self.filled = 0  # ticks since the window (re)started
 
@@ -545,6 +538,5 @@ class WindowStream:
         self.filled += 1
         if self.filled < self.n:
             return None
-        for hs in self.encoder.run(self.ring[k + 1 : k + 1 + self.n]):
-            pass
-        return denormalize_grip(head(hs[-1], self.p)[0], self.p.norm)
+        h_top = self.encoder.run(self.ring[k + 1 : k + 1 + self.n])
+        return denormalize_grip(head(h_top, self.p)[0], self.p.norm)

@@ -621,6 +621,24 @@ def test_predict_non_utf8_input_is_data_error(run, tmp_path, capsys, command):
     assert str(bad) in err
 
 
+@pytest.mark.parametrize("body, says", [
+    (b"", "line 1 must be the header"),
+    (b"t_ms,fx_N,fy_N,fz_N,tx_Nm,ty_Nm,tz_Nm\n", "has a header but no ticks"),
+    (b"0.0,1,2,3,4,5,6\n", "line 1 must be the header"),
+    (b"\nt_ms,fx_N,fy_N,fz_N,tx_Nm,ty_Nm,tz_Nm\n0.0,1,2,3,4,5,6\n", "line 1 must be the header"),
+    (b"t_ms,fx_N,fy_N,fz_N,tx_Nm,ty_Nm,tz_Nm\r\n0.0,1,2,3,4,5,6\r\n\xff,1\r\n",
+     "text after line 2 is not UTF-8 (invalid start byte)"),
+])
+def test_predict_bad_file_is_one_error_line(run, tmp_path, capsys, body, says):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(body)
+    rc = cli.main(["predict", "--model", str(run.ckpt), "--input", str(bad)])
+    assert rc == cli.EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {bad}") and err.count("\n") == 1
+    assert says in err
+
+
 class _LineByLine(io.RawIOBase):
     """A pipe whose writer sends one line at a time, as a live sensor does."""
 

@@ -21,7 +21,6 @@ from gripforecast.dataset import (
     NormStats,
     SamplingPolicy,
     TrainingSample,
-    _grip_crossings,
     align_handover,
     apply_norm,
     denormalize_grip,
@@ -481,7 +480,7 @@ def test_align_upward_only_crossing_rejected():
 
 
 def _grip_crossings_loop(giver, taker):
-    """The per-sample loops that dataset._grip_crossings vectorizes."""
+    """The per-sample loops that align_handover's one sign-change scan replaces."""
     d = giver - taker
     pos = d > 0
     down = [k for k in range(1, len(d)) if pos[k - 1] and not pos[k]]
@@ -492,11 +491,19 @@ def _grip_crossings_loop(giver, taker):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=1, max_size=60))
 def test_grip_crossings_match_loop_version(signs):
+    # Alignment succeeds exactly when the loops find one downward crossing
+    # and no upward one, with t = 0 on it; otherwise it names why not.
     giver = np.array(signs)
     taker = np.zeros(len(signs))
-    down, up = _grip_crossings(giver, taker)
-    assert (down, up) == _grip_crossings_loop(giver, taker)
-    assert all(type(k) is int for k in down + up)
+    down, up = _grip_crossings_loop(giver, taker)
+    rec = make_record(n=len(signs), k0=0, aligned=False, grip_giver=giver, grip_taker=taker)
+    if len(down) == 1 and not up:
+        out = align_handover(rec)
+        assert out.aligned and out.t_ms[down[0]] == 0.0
+        return
+    reason = "never cross" if not down + up else "multiple" if len(down + up) > 1 else "upward"
+    with pytest.raises(DataError, match=reason):
+        align_handover(rec)
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +734,19 @@ def test_fit_norm_stats_rejects_overflowing_channel_by_name():
     rec.grip_giver[200:260] = -1.7e308
     with pytest.raises(DataError, match="grip_giver_N.*not finite"):
         fit_norm_stats(extract_samples(rec))
+
+
+@pytest.mark.parametrize("empty", ["x", "y"])
+def test_fit_norm_stats_rejects_windows_without_values(empty):
+    # Hand-made windows that hold no wrench row, or no grip value, between
+    # them: nothing to fit, so the caller broke the contract.
+    x = np.zeros((0, 6)) if empty == "x" else np.ones((3, 6))
+    y = np.zeros(0) if empty == "y" else np.arange(HORIZON, dtype=float)
+    samples = [TrainingSample("1", str(k), 0.0, 0.0, x, y) for k in range(2)]
+    with pytest.raises(ContractViolation, match="wrench row and grip value"):
+        fit_norm_stats(samples)
+    with pytest.raises(ContractViolation):
+        fit_norm_stats([])
 
 
 def test_fit_norm_stats_never_concatenates_the_windows():

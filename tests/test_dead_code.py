@@ -1,5 +1,5 @@
-"""Every module-level private name in src/ is used there: code that nothing
-calls is deleted, not kept."""
+"""Every module-level private name and every module-level import in src/ is
+used there: code that nothing calls is deleted, not kept."""
 
 import ast
 from collections import Counter
@@ -45,4 +45,18 @@ def test_every_private_module_name_is_used_in_src():
               for module, tree in trees.items()
               for name, stmt in _private_definitions(tree)
               if uses[name] == _uses(stmt)[name]]
+    assert not unused, unused
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads = {n.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Import) or (isinstance(stmt, ast.ImportFrom)
+                                                and stmt.module != "__future__"):
+                unused += [f"{path.name}: {alias.name}" for alias in stmt.names
+                           if (alias.asname or alias.name.split(".")[0]) not in reads]
     assert not unused, unused

@@ -256,8 +256,10 @@ def test_forward_batch_short_blocks_change_no_bit(monkeypatch, reference_roots):
     # runs and next to run ends, and each block carries both layers' state
     # over. No block projects fewer than 8 rows unless its whole run does,
     # since OpenBLAS rounds a product of 1 to 7 rows differently.
+    # packed_case's seven windows come unsorted, one of them twice, and end
+    # in all three of its blocks, one per run.
     params = m.init_params(3, hidden=40)
-    cases = [reference_roots, narrow_packed_case(1)]
+    cases = [reference_roots, narrow_packed_case(1), packed_case(0.0)[1:]]
     want = [packed_forward_batch(xs, params, ends) for xs, ends in cases]
     blocks = []
     real_project = m._Cell.project
