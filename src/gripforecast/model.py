@@ -175,13 +175,18 @@ class _Cell:
     the whole 4H block, then `*= [1/2, 1/2, 1, 1/2]` and `+= [1/2, 1/2, 0,
     1/2]`, activates all four gates: sigmoid(z) = 0.5 * tanh(z / 2) + 0.5 on
     i, f, o and tanh on g.
+
+    project() makes only even-row GEMMs, running an odd last row with a zero
+    row under it: OpenBLAS rounds odd-row products unlike taller ones, and
+    at one thread even-row ones alike, so no cut of the steps moves a bit.
     """
 
     def __init__(self, p: LstmLayerParams, width: int):
         h = self.hidden = p.hidden
         scale, shift = _per_gate(h, 0.5, 1.0), _per_gate(h, 0.5, 0.0)
-        self.w_ih_t = (p.w_ih * scale[:, None]).T
+        self.w_ih_t = (p.w_ih * scale[:, None]).T.copy()  # C order, as w_hh_t
         self.w_hh_t = (p.w_hh * scale[:, None]).T.copy()  # C order: h @ W runs as NN GEMM
+        self.pair_in, self.pair_out = np.zeros((2, p.w_ih.shape[1])), np.empty((2, 4 * h))
         self.b = p.b * scale
         # Full-shape copies: a same-shape ufunc runs about twice as fast as
         # a broadcasting one, with the same bits.
@@ -195,8 +200,12 @@ class _Cell:
         written into `out` (contiguous) if given, else a new array."""
         t_steps, width, d_in = xs.shape
         rows, g = t_steps * width, 4 * self.hidden
-        z = np.matmul(xs.reshape(rows, d_in), self.w_ih_t,
-                      out=None if out is None else out.reshape(rows, g))
+        x, even = xs.reshape(rows, d_in), rows - rows % 2
+        z = np.empty((rows, g)) if out is None else out.reshape(rows, g)
+        np.matmul(x[:even], self.w_ih_t, out=z[:even])
+        if even < rows:  # the last row, with the zero row of pair_in under it
+            self.pair_in[0] = x[-1]
+            z[-1] = np.matmul(self.pair_in, self.w_ih_t, out=self.pair_out)[0]
         z += self.b
         return z.reshape(t_steps, width, g)
 
@@ -385,16 +394,13 @@ class _Encoder:
     Column c runs for 1 + its largest end step, and the columns must come
     longest first, so at step t the columns still running are the first
     width[t]; only those advance. Each run of steps of one width w is cut
-    into blocks of FORWARD_BLOCK_BYTES // (w * 4H * 8) steps. Both layers
-    advance over a block before the next one starts, each with one input
-    projection into a gate buffer shared by every block and both layers,
-    and the (h, c) of both layers carry over from block to block. The top
-    layer's h is copied out only for the windows that end in the block; at
-    B=1 a window of up to 819 steps (H=40) is one block. OpenBLAS rounds a
-    product of 1 to 7 rows differently from a taller one, so a block
-    projects at least 8 rows unless its whole run has fewer: it takes at
-    least ceil(8 / w) steps, and a shorter last block joins the one before
-    it. The states are then those of whole-layer passes, bit for bit.
+    into blocks of max(1, FORWARD_BLOCK_BYTES // (w * 4H * 8)) steps. Both
+    layers advance over a block before the next one starts, each with one
+    input projection into a gate buffer shared by every block and both
+    layers, and the (h, c) of both layers carry over from block to block.
+    The top layer's h is copied out only for the windows that end in the
+    block; at B=1 a window of up to 819 steps (H=40) is one block. By
+    _Cell's row rule, the states are those of whole-layer passes, bit for bit.
     """
 
     def __init__(self, p: ModelParams, steps: np.ndarray | list[int],
@@ -410,11 +416,8 @@ class _Encoder:
         self.blocks = []  # (first step, end step, width, windows ending here, their rows, columns)
         for t0, t1 in zip([0, *ends_of_runs], ends_of_runs):
             w = int(np.count_nonzero(lengths >= t1))
-            n = max(-(-8 // w), FORWARD_BLOCK_BYTES // (w * 4 * h * 8))
-            cuts = list(range(t0, t1, n))
-            if len(cuts) > 1 and (t1 - cuts[-1]) * w < 8:
-                cuts.pop()  # the short tail joins the block before it
-            for b0, b1 in zip(cuts, [*cuts[1:], t1]):
+            n = max(1, FORWARD_BLOCK_BYTES // (w * 4 * h * 8))
+            for b0, b1 in zip(range(t0, t1, n), [*range(t0 + n, t1, n), t1]):
                 mine = np.flatnonzero((steps >= b0) & (steps < b1))
                 self.blocks.append((b0, b1, w, mine, steps[mine] - b0, cols[mine]))
         size = max((b1 - b0) * w for b0, b1, w, *_ in self.blocks)

@@ -59,9 +59,6 @@ class Rng:
         """The next n doubles in [0, 1), from the top 53 bits of each output."""
         return (self._next(n) >> 11).astype(np.float64) * 2.0**-53
 
-    def next_u64(self) -> int:
-        return int(self._next(1)[0])
-
     def uniform(self) -> float:
         """One double in [0, 1)."""
         return float(self._uniforms(1)[0])

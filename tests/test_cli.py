@@ -794,8 +794,8 @@ def uniform_ticks(record, count):
 def test_stream_restarts_window_after_gap(run, window_ms):
     # Two runs of 2n + 60 uniform ticks, the second 500 ms late, each giving
     # n + 61 forecasts at an n-tick window: the stream's ring of 2n rows
-    # wraps around in both. At 10 ms the window is 2 ticks, fewer than the
-    # 8 rows below which a projection rounds differently.
+    # wraps around in both. At 10 ms the window is 2 ticks, so every
+    # projection a tick makes is 2 rows tall.
     n = ms_to_steps(window_ms) + 1
     run_len = 2 * n + 60
     lines, wrench = uniform_ticks(align_handover(load_recordings(run.data)[0]), 2 * run_len)

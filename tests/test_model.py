@@ -1,7 +1,12 @@
 """Tests for the 2-layer LSTM forecaster: forward oracles and exact BPTT."""
 
+import platform
+import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,12 +257,12 @@ def test_forward_batch_matches_whole_layer_pass_bit_for_bit(reference_roots):
 
 
 def test_forward_batch_short_blocks_change_no_bit(monkeypatch, reference_roots):
-    # Blocks of 1 to 3 steps at the widest run: block edges fall inside
-    # runs and next to run ends, and each block carries both layers' state
-    # over. No block projects fewer than 8 rows unless its whole run does,
-    # since OpenBLAS rounds a product of 1 to 7 rows differently.
-    # packed_case's seven windows come unsorted, one of them twice, and end
-    # in all three of its blocks, one per run.
+    # Blocks of 1 to 3 steps at the widest run, then of 1 step at every
+    # width: block edges fall inside runs and next to run ends, each block
+    # carries both layers' state over, and blocks of 1 row and of odd rows
+    # must project as the whole-layer pass does. packed_case's seven
+    # windows come unsorted, one of them twice, and end in all three of its
+    # blocks, one per run.
     params = m.init_params(3, hidden=40)
     cases = [reference_roots, narrow_packed_case(1), packed_case(0.0)[1:]]
     want = [packed_forward_batch(xs, params, ends) for xs, ends in cases]
@@ -275,12 +280,71 @@ def test_forward_batch_short_blocks_change_no_bit(monkeypatch, reference_roots):
         for (xs, ends), ref in zip(cases, want):
             blocks.clear()
             assert m.forward_batch(xs, params, ends).tobytes() == ref.tobytes()
-            runs = {}  # width -> its run's blocks, in steps; widths differ run to run
-            for n, w in blocks[::2]:  # layer 1's projections
-                runs.setdefault(w, []).append(n)
-            assert all(len(run) == 1 or min(run) * w >= 8 for w, run in runs.items())
+            layer1 = blocks[::2]  # (steps, width) of layer 1's projections
+            if steps is None:
+                assert {n for n, _ in layer1} == {1}  # 1-row blocks at width 1, odd at odd widths
             if xs.shape[1] == 100:
-                assert max(runs[100]) == (steps or 1) and len(runs[100]) > 1
+                widest = [n for n, w in layer1 if w == 100]
+                assert max(widest) == (steps or 1) and len(widest) > 1
+
+
+@pytest.mark.parametrize("layer", ["layer1", "layer2"])
+def test_project_rounds_every_row_count_alike(layer):
+    # OpenBLAS kernel sets round a product of odd or few rows unlike a
+    # taller one. _Cell.project must not: the first M rows of a projection
+    # are the same rows of a 400-row projection, bit for bit, for every M.
+    p = getattr(m.init_params(3, hidden=40), layer)
+    d_in = p.w_ih.shape[1]
+    xs = Rng(derive_seed(21, d_in)).normals(400 * d_in, 0.0, 1.0).reshape(400, 1, d_in)
+    cell = m._Cell(p, 1)
+    whole = cell.project(xs)
+    assert [n for n in range(1, 400)
+            if cell.project(xs[:n]).tobytes() != whole[:n].tobytes()] == []
+
+
+# OpenBLAS kernel sets other than this CPU's, forced with OPENBLAS_CORETYPE:
+# the CPU flags each needs, and the names numpy's OpenBLAS reports for it.
+KERNEL_SETS = {
+    "Haswell": ({"avx2", "fma"}, {"Haswell"}),
+    "Zen": ({"avx2", "fma"}, {"Zen", "Haswell"}),
+    "Sandybridge": ({"avx"}, {"Sandybridge"}),
+    "Prescott": (set(), {"Prescott", "Katmai"}),
+}
+CORENAME = """
+import ctypes, glob, os, numpy
+libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+for lib in glob.glob(os.path.join(libs, "*openblas*")):
+    f = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+    if f is not None:
+        f.restype = ctypes.c_char_p
+        print(f().decode())
+"""
+
+
+@pytest.mark.parametrize("coretype", KERNEL_SETS)
+def test_bit_contracts_hold_on_other_kernel_sets(coretype, cli_env):
+    # The row rule and the packed and blocked inference passes, bit for bit,
+    # at one BLAS thread under another kernel set, in a fresh process.
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OpenBLAS kernel sets are x86-64 only")
+    needs, names = KERNEL_SETS[coretype]
+    try:
+        flags = set(re.search(r"^flags\s*:(.*)$", Path("/proc/cpuinfo").read_text(),
+                              re.M).group(1).split())
+    except (OSError, AttributeError):
+        pytest.skip("no CPU flags to read")
+    if not needs <= flags:
+        pytest.skip(f"this CPU lacks {sorted(needs - flags)}")
+    env = {**cli_env, "OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": coretype}
+    core = subprocess.run([sys.executable, "-c", CORENAME], env=env, capture_output=True,
+                          text=True, check=True, timeout=60).stdout.split()
+    if not core or core[0] not in names:
+        pytest.skip(f"numpy's BLAS does not report {coretype}: {core}")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "project_rounds or forward_batch or packed"],
+        env=env, cwd=Path(__file__).parent.parent, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout[-3000:]
 
 
 def test_forward_batch_memory_is_bounded_by_the_block(reference_roots):
