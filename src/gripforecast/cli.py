@@ -75,21 +75,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
 def _any_int(text: str) -> int:
     try:
         return int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+
+
+def _positive_int(text: str) -> int:
+    value = _any_int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
 
 
 def _window_ms(text: str) -> float:
@@ -279,6 +276,15 @@ def _parse_tick(line: str) -> tuple[float, list[float]]:
     return values[0], values[1:]
 
 
+def _text_lines(fh: Iterable[bytes], source: str) -> Iterator[str]:
+    """Each LF-ended line of `fh` as it arrives, decoded on its own (BOM dropped on line 1)."""
+    for lineno, raw in enumerate(fh, start=1):
+        try:
+            yield raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{source}: line {lineno} is not UTF-8 ({exc.reason})") from None
+
+
 def _read_ticks(
     lines: Iterable[str], source: str, strict: bool
 ) -> Iterator[tuple[float, list[float], bool]]:
@@ -290,46 +296,41 @@ def _read_ticks(
     spacing more than 1% off the 120 Hz period (dataset.spacing_off), named
     by line. Otherwise (stream) a malformed line is skipped with one
     `malformed tick` note on stderr, and an off spacing gets its own note and
-    yields restart=True: the caller starts a new window at that tick. Text
-    that is not UTF-8 is a DataError naming the last line read before it.
+    yields restart=True: the caller starts a new window at that tick.
     """
     no_header = f"{source}: line 1 must be the header {','.join(WRENCH_CSV_HEADER)!r}"
     last_t: float | None = None
     lineno = 0
-    try:
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if lineno == 1 and _is_header(line):
-                continue
-            if lineno == 1 and strict:
-                raise DataError(no_header)
-            if not line:
-                continue
-            try:
-                t_ms, wrench = _parse_tick(line)
-            except DataError as exc:
-                if strict:
-                    raise DataError(f"{source}: line {lineno}: {exc}") from None
-                print(f"{source}: line {lineno}: malformed tick ({exc}), skipped: {line!r}",
-                      file=sys.stderr)
-                continue
-            if last_t is not None and t_ms <= last_t:
-                raise DataError(f"{source}: line {lineno}: timestamp {t_ms:g} does not "
-                                f"increase past {last_t:g}")
-            restart = last_t is not None and spacing_off(t_ms - last_t)
-            if restart:
-                gap = (f"{source}: line {lineno}: spacing {t_ms - last_t:.4f} ms deviates "
-                       f"more than 1% from {PERIOD_MS:.4f} ms (120 Hz)")
-                if strict:
-                    raise DataError(gap)
-                print(f"{gap}; the window restarts at this tick", file=sys.stderr)
-            last_t = t_ms
-            yield t_ms, wrench, restart
-        if lineno == 0 and strict:
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if lineno == 1 and _is_header(line):
+            continue
+        if lineno == 1 and strict:
             raise DataError(no_header)
-    except UnicodeDecodeError as exc:  # raised by `lines` itself, as it decodes
-        raise DataError(
-            f"{source}: text after line {lineno} is not UTF-8 ({exc.reason})") from None
+        if not line:
+            continue
+        try:
+            t_ms, wrench = _parse_tick(line)
+        except DataError as exc:
+            if strict:
+                raise DataError(f"{source}: line {lineno}: {exc}") from None
+            print(f"{source}: line {lineno}: malformed tick ({exc}), skipped: {line!r}",
+                  file=sys.stderr)
+            continue
+        if last_t is not None and t_ms <= last_t:
+            raise DataError(f"{source}: line {lineno}: timestamp {t_ms:g} does not "
+                            f"increase past {last_t:g}")
+        restart = last_t is not None and spacing_off(t_ms - last_t)
+        if restart:
+            gap = (f"{source}: line {lineno}: spacing {t_ms - last_t:.4f} ms deviates "
+                   f"more than 1% from {PERIOD_MS:.4f} ms (120 Hz)")
+            if strict:
+                raise DataError(gap)
+            print(f"{gap}; the window restarts at this tick", file=sys.stderr)
+        last_t = t_ms
+        yield t_ms, wrench, restart
+    if lineno == 0 and strict:
+        raise DataError(no_header)
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +454,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 @np.errstate(all="ignore")  # an overflow shows as a non-finite forecast, checked below
 def cmd_predict(args: argparse.Namespace) -> int:
     params, _ = load_checkpoint(args.model)
-    with open(args.input, "rb") as fh:  # line by line, so a UTF-8 error names its line
-        lines = (line.decode("utf-8") for line in fh.read().splitlines())
-        ticks = list(_read_ticks(lines, str(args.input), strict=True))
+    with open(args.input, "rb") as fh:
+        ticks = list(_read_ticks(_text_lines(fh, str(args.input)), str(args.input), strict=True))
     if not ticks:
         raise DataError(f"{args.input} has a header but no ticks")
     forecast = m.predict_grip(np.asarray([wrench for _, wrench, _ in ticks]), params)
@@ -498,7 +498,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     """
     params, _ = load_checkpoint(args.model)
     window = m.WindowStream(params, ms_to_steps(args.window_ms) + 1)
-    stdin = args.stdin if args.stdin is not None else sys.stdin
+    stdin = args.stdin if args.stdin is not None else _text_lines(sys.stdin.buffer, "stream")
     stdout = args.stdout if args.stdout is not None else sys.stdout
     arrived = [0.0]  # when the last line read came in
     service_s = array("d")

@@ -207,10 +207,10 @@ def load_recordings(path: str) -> list[HandoverRecord]:
     (pair_id, handover_id), rows within a record in file order, which must
     already be timestamp-ascending. The aligned flag is false; call
     align_handover before extracting samples. A malformed file raises
-    DataError naming the row and field.
+    DataError naming the row and field. A UTF-8 BOM before the header is dropped.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             header = next(csv.reader([fh.readline()]), [])
             index = {name: i for i, name in enumerate(header)}
             missing = [c for c in CSV_COLUMNS if c not in index]
@@ -286,7 +286,7 @@ def _parse_table(fh: TextIO, index: dict[str, int]) -> np.ndarray:
 def _raise_first_bad_row(path: str, index: dict[str, int], exc: ValueError | None) -> NoReturn:
     """Re-read the file row by row to name the first row and field that the bulk
     parse refused. Only an error comes out of here, never records."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         fh.readline()  # the header, read as load_recordings read it
         for line_no, row in enumerate((r for r in csv.reader(fh) if r), start=2):
             for col in _NUMERIC_COLUMNS + _ID_COLUMNS:

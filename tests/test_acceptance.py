@@ -345,7 +345,8 @@ def test_criterion_7_online_offline_equivalence(tmp_path, monkeypatch, capsys):
         tick_lines.append(",".join(cells))
 
     out_buf = io.StringIO()
-    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(tick_lines) + "\n"))
+    ticks = ("\n".join(tick_lines) + "\n").encode()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(ticks), encoding="utf-8"))
     monkeypatch.setattr("sys.stdout", out_buf)
     rc = cli.main(["stream", "--model", str(ckpt)])
     monkeypatch.undo()

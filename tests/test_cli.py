@@ -627,7 +627,7 @@ def test_predict_non_utf8_input_is_data_error(run, tmp_path, capsys, command):
     (b"0.0,1,2,3,4,5,6\n", "line 1 must be the header"),
     (b"\nt_ms,fx_N,fy_N,fz_N,tx_Nm,ty_Nm,tz_Nm\n0.0,1,2,3,4,5,6\n", "line 1 must be the header"),
     (b"t_ms,fx_N,fy_N,fz_N,tx_Nm,ty_Nm,tz_Nm\r\n0.0,1,2,3,4,5,6\r\n\xff,1\r\n",
-     "text after line 2 is not UTF-8 (invalid start byte)"),
+     "line 3 is not UTF-8 (invalid start byte)"),
 ])
 def test_predict_bad_file_is_one_error_line(run, tmp_path, capsys, body, says):
     bad = tmp_path / "bad.csv"
@@ -660,7 +660,89 @@ def test_stream_non_utf8_input_is_data_error(run):
     stdin = io.TextIOWrapper(io.BufferedReader(_LineByLine(data)), encoding="utf-8")
     rc, out, err = run_in_process(["stream", "--model", str(run.ckpt)], stdin)
     assert rc == cli.EXIT_DATA
-    assert err == "error: stream: text after line 3 is not UTF-8 (invalid start byte)\n"
+    assert err == "error: stream: line 4 is not UTF-8 (invalid start byte)\n"
+
+
+# predict and stream in their own processes on the same bytes, with LANG and
+# LC_ALL unset (the C locale, whose stdin would let bad bytes through) and
+# again with stdin set to decode strictly (which would decode in 8 kB chunks).
+
+
+@pytest.fixture(params=["no_locale", "strict_stdin"])
+def bare_env(request, cli_env):
+    env = {k: v for k, v in cli_env.items()
+           if k not in ("LANG", "LC_ALL", "LC_CTYPE", "PYTHONIOENCODING", "PYTHONUTF8")}
+    if request.param == "strict_stdin":
+        env["PYTHONIOENCODING"] = "utf-8:strict"
+    return env
+
+
+def predict_and_stream(run, env, path):
+    """predict on the file at `path`, then stream on its bytes, each as
+    (exit code, stdout bytes, stderr text)."""
+    results = []
+    for argv, data in ((["predict", "--input", str(path)], b""), (["stream"], path.read_bytes())):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gripforecast", *argv, "--model", str(run.ckpt)],
+            input=data, capture_output=True, env=env, timeout=120)
+        results.append((proc.returncode, proc.stdout, proc.stderr.decode()))
+    return results
+
+
+BOM = "\ufeff".encode()
+HEADER = ",".join(cli.WRENCH_CSV_HEADER)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_predict_and_stream_read_the_same_ticks(run, bare_env, tmp_path, end):
+    # One 32-tick window: stream's one forecast line holds predict's values.
+    # A BOM before the header changes no byte of either output.
+    lines, _ = uniform_ticks(align_handover(load_recordings(run.data)[0]), 32)
+    text = end.join([HEADER, *lines]).encode() + end.encode()
+    outs = []
+    for name, data in (("plain", text), ("bom", BOM + text)):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(data)
+        (rc_p, out_p, err_p), (rc_s, out_s, err_s) = predict_and_stream(run, bare_env, path)
+        assert (rc_p, err_p, rc_s) == (cli.EXIT_OK, "", cli.EXIT_OK)
+        assert err_s.startswith("stream: 1 forecasts, ") and err_s.count("\n") == 1
+        outs.append((out_p, out_s))
+    assert outs[0] == outs[1]
+    predicted = outs[0][0].decode().splitlines()
+    (streamed,) = outs[0][1].decode().splitlines()
+    t_ms, *values = streamed.split(",")
+    assert t_ms == lines[-1].split(",")[0] and len(predicted) == 71
+    assert values == [row.split(",")[1] for row in predicted[1:]]
+
+
+def test_bare_cr_ends_no_line(run, bare_env, tmp_path):
+    # A line ends at LF only, so a file of CR-ended lines is one line 1.
+    lines, _ = uniform_ticks(align_handover(load_recordings(run.data)[0]), 32)
+    path = tmp_path / "cr.csv"
+    path.write_bytes("\r".join([HEADER, *lines]).encode() + b"\r")
+    (rc_p, out_p, err_p), (rc_s, out_s, err_s) = predict_and_stream(run, bare_env, path)
+    assert (rc_p, out_p) == (cli.EXIT_DATA, b"")
+    assert err_p == f"error: {path}: line 1 must be the header {HEADER!r}\n"
+    assert (rc_s, out_s) == (cli.EXIT_OK, b"")
+    assert err_s.startswith("stream: line 1: malformed tick (") and err_s.count("\n") == 1
+
+
+def test_non_utf8_line_stops_both_commands_at_that_line(run, bare_env, tmp_path):
+    # 120 ticks with byte 0xff on line 61, more than 8 kB into the file. The
+    # stream first writes the 28 forecasts whose windows end on lines 33-60.
+    lines, wrench = uniform_ticks(align_handover(load_recordings(run.data)[0]), 120)
+    rows = [row.encode() for row in [HEADER, *lines]]
+    rows[60] = b"\xff" + rows[60]
+    data = b"\n".join(rows) + b"\n"
+    assert data.index(b"\xff") > 8192
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    (rc_p, out_p, err_p), (rc_s, out_s, err_s) = predict_and_stream(run, bare_env, path)
+    assert (rc_p, out_p) == (cli.EXIT_DATA, b"")
+    assert err_p == f"error: {path}: line 61 is not UTF-8 (invalid start byte)\n"
+    assert rc_s == cli.EXIT_DATA
+    assert err_s == "error: stream: line 61 is not UTF-8 (invalid start byte)\n"
+    assert_32_tick_forecasts(run, lines[:59], wrench, out_s.decode().splitlines())
 
 
 # ---------------------------------------------------------------------------
@@ -769,10 +851,12 @@ def test_stream_accepts_header_line(run, cli_env):
 def run_in_process(argv, stdin_text=""):
     """cli.main with stdin, stdout and stderr in memory: (exit code, out, err).
 
-    stdin_text is a string or a text stream. Any warning is raised as an
-    error, so a numpy RuntimeWarning shows up as exit 3.
+    stdin_text is a string, which stdin holds as UTF-8 bytes, or an object
+    whose `.buffer` gives stdin's bytes. Any warning is raised as an error,
+    so a numpy RuntimeWarning shows up as exit 3.
     """
-    stdin = io.StringIO(stdin_text) if isinstance(stdin_text, str) else stdin_text
+    stdin = (io.TextIOWrapper(io.BytesIO(stdin_text.encode()), encoding="utf-8")
+             if isinstance(stdin_text, str) else stdin_text)
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(sys, "stdin", stdin), warnings.catch_warnings(), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -955,10 +1039,11 @@ def test_stream_ctrl_c_writes_the_note_and_exits_130(run):
     lines, wrench = uniform_ticks(align_handover(load_recordings(run.data)[0]), 40)
 
     def stdin():
-        yield from (line + "\n" for line in lines)
+        yield from ((line + "\n").encode() for line in lines)
         raise KeyboardInterrupt
 
-    rc, out, err = run_interrupted(["stream", "--model", str(run.ckpt)], stdin())
+    rc, out, err = run_interrupted(["stream", "--model", str(run.ckpt)],
+                                   SimpleNamespace(buffer=stdin()))
     assert rc == cli.EXIT_INTERRUPTED and "Traceback" not in err
     note, last = err.splitlines()
     assert note.startswith("stream: 9 forecasts, service time p50 ") and last == "interrupted"
@@ -966,9 +1051,9 @@ def test_stream_ctrl_c_writes_the_note_and_exits_130(run):
 
 
 def assert_32_tick_forecasts(run, lines, wrench, out):
-    """`out` holds the 9 forecast lines of a 260 ms stream over the 40 tick
+    """`out` holds the forecast lines of a 260 ms stream over the tick
     `lines`, each one predict_grip on its 32-tick window."""
-    assert len(out) == 9
+    assert len(out) == len(lines) - 31
     params, _ = cli.load_checkpoint(run.ckpt)
     for end, line in enumerate(out, start=31):
         vals = line.split(",")
@@ -1271,7 +1356,8 @@ def test_stream_broken_pipe_exits_ok(run, tmp_path, capsys, monkeypatch):
     rec = align_handover(load_recordings(run.data)[0])
     fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
     try:
-        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(ticks_for(rec, 40)) + "\n"))
+        ticks = ("\n".join(ticks_for(rec, 40)) + "\n").encode()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(ticks), encoding="utf-8"))
         monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
         rc = cli.main(["stream", "--model", str(run.ckpt)])
     finally:

@@ -373,6 +373,22 @@ def test_loader_malformed_matches_oracle(synth_csv, tmp_path, rewrite):
         assert got == want
 
 
+def test_loader_drops_a_bom_before_the_header(synth_csv, tmp_path):
+    # A UTF-8 BOM loads the same records, and a bad row is named alike.
+    def with_bom(path):
+        bom = tmp_path / f"bom_{path.name}"
+        bom.write_bytes("\ufeff".encode() + path.read_bytes())
+        return bom
+
+    _same_records(load_recordings(with_bom(synth_csv)), load_recordings(synth_csv))
+    bad = tmp_path / "bad.csv"
+    _set_cell(41, "fy_N", "oops")(_csv_rows(synth_csv), bad)
+    want = _outcome(load_recordings, bad)
+    assert want[0] is DataError and "row 41, field fy_N: " in want[1]
+    bom = with_bom(bad)
+    assert _outcome(load_recordings, bom) == (DataError, want[1].replace(str(bad), str(bom)))
+
+
 # Characters for random edits. Left out: `_`, non-ASCII digits and the
 # separators \x1c-\x1f, where the loader departs from float() on purpose.
 _EDIT_CHARS = '0123456789.,"\r\n -+eEinfax\t\x00\u00a0'
