@@ -22,7 +22,7 @@ import os
 import signal
 import sys
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from time import perf_counter as clock
 
@@ -64,15 +64,6 @@ WRENCH_CSV_HEADER = ["t_ms", *WRENCH_COLUMNS]
 
 STREAM_WINDOW_MS_MIN = 10.0
 STREAM_WINDOW_MS_MAX = 1250.0
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors by default; this CLI reserves 2 for
-    data errors, so usage problems are remapped to exit code 1."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _any_int(text: str) -> int:
@@ -285,6 +276,11 @@ def _text_lines(fh: Iterable[bytes], source: str) -> Iterator[str]:
             raise DataError(f"{source}: line {lineno} is not UTF-8 ({exc.reason})") from None
 
 
+def _capped(text: str, show: Callable[[str], str] = str) -> str:
+    """show(text), or show() of its first 200 characters, then `...` and its length."""
+    return show(text) if len(text) <= 200 else f"{show(text[:200])}... ({len(text):,} characters)"
+
+
 def _read_ticks(
     lines: Iterable[str], source: str, strict: bool
 ) -> Iterator[tuple[float, list[float], bool]]:
@@ -314,8 +310,8 @@ def _read_ticks(
         except DataError as exc:
             if strict:
                 raise DataError(f"{source}: line {lineno}: {exc}") from None
-            print(f"{source}: line {lineno}: malformed tick ({exc}), skipped: {line!r}",
-                  file=sys.stderr)
+            print(f"{source}: line {lineno}: malformed tick ({_capped(str(exc))}), "
+                  f"skipped: {_capped(line, repr)}", file=sys.stderr)
             continue
         if last_t is not None and t_ms <= last_t:
             raise DataError(f"{source}: line {lineno}: timestamp {t_ms:g} does not "
@@ -526,10 +522,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
             stdout.write(_fmt(t_ms) + "," + ",".join(map(repr, forecast.tolist())) + "\n")
             stdout.flush()
             service_s.append(clock() - arrived[0])
+        note()  # inside the try: a signal that lands as the input ends still gets its note
     except KeyboardInterrupt:  # a live stream ends by Ctrl-C or SIGTERM: note, then main's exit
         note()
         raise
-    note()
     return EXIT_OK
 
 
@@ -537,8 +533,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
 # Parser assembly
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="gripforecast",
         description=(
             "Grip-force forecasting for human-robot handovers: synthesize "
@@ -600,8 +596,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 is a data error here
+        return EXIT_USAGE if exc.code else EXIT_OK
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         return args.func(args)

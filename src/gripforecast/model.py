@@ -30,12 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import HORIZON, NormStats, denormalize_grip, normalize_wrench
+from .dataset import HORIZON, WRENCH_COLUMNS, NormStats, denormalize_grip, normalize_wrench
 from .errors import ContractViolation, DataError
 from .numerics import Rng
 
 GATE_ORDER = "ifgo"
-INPUT_DIM = 6
+INPUT_DIM = len(WRENCH_COLUMNS)
 
 
 @dataclass
@@ -144,19 +144,6 @@ def init_params(seed: int, hidden: int = 40) -> ModelParams:
     return p
 
 
-class _LayerCache:
-    """Per-layer forward activations retained for BPTT (which consumes them)."""
-
-    __slots__ = ("xs", "gates", "cs", "hs")
-
-    def __init__(self, xs: np.ndarray, gates: np.ndarray, cs: np.ndarray,
-                 hs: np.ndarray):
-        self.xs = xs  # (T, B, D)
-        self.gates = gates  # (T, B, 4H) post-activation, i|f|g|o blocks
-        self.cs = cs  # (T, B, H)
-        self.hs = hs  # (T, B, H)
-
-
 def _per_gate(h: int, on_sigmoid: float, on_g: float) -> np.ndarray:
     """A (4H,) vector over the i|f|g|o block: on_sigmoid on i, f, o; on_g on g."""
     v = np.full(4 * h, on_sigmoid)
@@ -235,24 +222,24 @@ class _Cell:
             h_prev, c_prev = h_t, c_t
 
 
-def _layer_forward(xs: np.ndarray, p: LstmLayerParams) -> tuple[np.ndarray, _LayerCache]:
+def _layer_forward(xs: np.ndarray, p: LstmLayerParams) -> tuple[np.ndarray, tuple]:
     """Run one layer over all T steps of (T, B, D) inputs; returns hs (T, B, H)
-    and the cache BPTT needs: the activated gates, cs and hs of every step.
-    """
+    and the cache BPTT needs, (xs, gates, cs, hs): the inputs, and the
+    activated gates, cs and hs of every step."""
     t_steps, batch, _ = xs.shape
     cell = _Cell(p, batch)
     gates = cell.project(xs)
     cs = np.empty((t_steps, batch, p.hidden))
     hs = np.empty((t_steps, batch, p.hidden))
     cell.run(gates, None, None, cs, hs)
-    return hs, _LayerCache(xs, gates, cs, hs)
+    return hs, (xs, gates, cs, hs)
 
 
 BPTT_BLOCK = 32  # steps per hoisted block of _layer_backward
 
 
 def _layer_backward(
-    dhs: np.ndarray, cache: _LayerCache, p: LstmLayerParams, grads: LstmLayerParams
+    dhs: np.ndarray, cache: tuple, p: LstmLayerParams, grads: LstmLayerParams
 ) -> np.ndarray:
     """BPTT through one layer given dL/dh (T, B, H) from above; returns dL/dz.
 
@@ -276,12 +263,12 @@ def _layer_backward(
     operand, on which numpy would allocate an iterator buffer of up to
     64 kB: strided gate slices are copied into contiguous memory first.
 
-    Consumes the cache: dL/dz for step t is written over cache.gates[t]. dW_ih,
+    Consumes the cache: dL/dz for step t is written over its gates[t]. dW_ih,
     dW_hh and db are then single GEMMs or a reduction over the (T*B, 4H)
     block of dL/dz, written into `grads`. That block is returned, so a caller
     that needs dL/dx takes it with one more GEMM, dz @ W_ih.
     """
-    gates, cs, hs, xs = cache.gates, cache.cs, cache.hs, cache.xs
+    xs, gates, cs, hs = cache
     t_steps, batch, h = hs.shape
     n = min(BPTT_BLOCK, t_steps)
     tanh_cs = np.empty((n, batch, h))
@@ -462,9 +449,9 @@ def backward_batch(
     xs, steps, cols = _windows(xs, ends, "backward_batch")
     y_true = np.asarray(y_true, dtype=np.float64)
     hs1, cache1 = _layer_forward(xs, p.layer1)
-    _, cache2 = _layer_forward(hs1, p.layer2)
-    t_steps, batch, h = cache2.hs.shape
-    h_read = cache2.hs[steps, cols]  # (N, H): the top-layer states the head reads
+    hs2, cache2 = _layer_forward(hs1, p.layer2)
+    t_steps, batch, h = hs2.shape
+    h_read = hs2[steps, cols]  # (N, H): the top-layer states the head reads
     y_hat = head(h_read, p)
     if y_true.shape != y_hat.shape:
         raise ContractViolation(

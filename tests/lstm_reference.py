@@ -76,17 +76,17 @@ def reference_layer_forward(xs: np.ndarray, p: m.LstmLayerParams):
         gates[t] = np.concatenate([i, f, g, o], axis=1)
         cs[t] = c_t
         hs[t] = h_t
-    return hs, m._LayerCache(xs, gates, cs, hs)
+    return hs, (xs, gates, cs, hs)
 
 
 def reference_layer_backward(
-    dhs: np.ndarray, cache: m._LayerCache, p: m.LstmLayerParams
+    dhs: np.ndarray, cache: tuple, p: m.LstmLayerParams
 ) -> tuple[np.ndarray, m.LstmLayerParams]:
     """BPTT through one layer given per-step dL/dh; every GEMM inside the loop.
 
     Returns dL/dx per step and the layer's gradients. The cache is only read.
     """
-    xs, gates, cs, hs = cache.xs, cache.gates, cache.cs, cache.hs
+    xs, gates, cs, hs = cache
     t_steps, batch, h = dhs.shape
     dxs = np.empty_like(xs)
     dw_ih = np.zeros_like(p.w_ih)
@@ -126,15 +126,15 @@ def reference_layer_backward(
 
 
 def unhoisted_layer_backward(
-    dhs: np.ndarray, cache: m._LayerCache, p: m.LstmLayerParams, grads: m.LstmLayerParams
+    dhs: np.ndarray, cache: tuple, p: m.LstmLayerParams, grads: m.LstmLayerParams
 ) -> np.ndarray:
     """m._layer_backward before its block hoisting: about 17 numpy calls per step.
 
-    Same signature and contract; it also writes tanh(c_t) over cache.cs[t].
+    Same signature and contract; it also writes tanh(c_t) over the cache's cs[t].
     Every element's operations run in the same order as in the model, so
     the returned dL/dz and the gradients must agree bit for bit.
     """
-    gates, cs, hs, xs = cache.gates, cache.cs, cache.hs, cache.xs
+    xs, gates, cs, hs = cache
     t_steps, batch, h = hs.shape
     # d(activation)/dz = y * (alpha - y) + gamma: y(1 - y) on the sigmoid
     # gates, 1 - y^2 on g.

@@ -100,6 +100,30 @@ def test_unknown_command_is_usage_error():
     assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv,says", [
+    (["synth", "--pairs", "2", "--out", "d.csv"],
+     "the following arguments are required: --per-pair"),
+    (["train", "--data", "d.csv", "--test-pairs", "3"],
+     "the following arguments are required: --out"),
+    (["eval", "--data", "d.csv", "--test-pairs", "3", "--out", "e"],
+     "the following arguments are required: --model"),
+    (["predict", "--model", "m.json"], "the following arguments are required: --input"),
+    (["stream"], "the following arguments are required: --model"),
+    (["synth", "--pairs", "0", "--per-pair", "1", "--out", "d.csv"],
+     "argument --pairs: expected a positive integer, got 0"),
+    (["synth", "--pairs", "1", "--per-pair", "1", "--seed", "x", "--out", "d.csv"],
+     "argument --seed: expected an integer, got 'x'"),
+    (["stream", "--model", "m.json", "--window-ms", "5"],
+     "argument --window-ms: --window-ms must lie in [10, 1250] ms, got 5"),
+], ids=["synth", "train", "eval", "predict", "stream", "pairs_0", "seed_x", "window_ms_5"])
+def test_usage_error_is_exit_1_and_one_error_line_after_the_usage(argv, says):
+    rc, out, err = run_in_process(argv)
+    *usage, last = err.splitlines()
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert usage[0].startswith(f"usage: gripforecast {argv[0]} ")
+    assert last == f"gripforecast {argv[0]}: error: {says}" and err.count(": error:") == 1
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -727,6 +751,29 @@ def test_bare_cr_ends_no_line(run, bare_env, tmp_path):
     assert err_s.startswith("stream: line 1: malformed tick (") and err_s.count("\n") == 1
 
 
+@pytest.mark.parametrize("shape", ["bare_cr", "long_cell"])
+def test_malformed_tick_note_quotes_at_most_200_characters(run, shape):
+    # A 15.7 kB bare-CR file is one line 1, and a 1,000-character cell has as
+    # long a reason: the note quotes the first 200 characters of each, then
+    # `...` and the full length, instead of echoing the input.
+    lines, _ = uniform_ticks(align_handover(load_recordings(run.data)[0]), 113)
+    if shape == "bare_cr":
+        text = "\r".join([HEADER, *lines]) + "\r"
+        said = f"expected 7 fields, got {text.count(',') + 1}"  # quoted whole
+        assert len(text) > 15_000
+    else:
+        cell = "x" * 1000
+        text = ",".join(["0.0", cell, *lines[0].split(",")[2:]]) + "\n"
+        reason = f"not a number ({cell!r})"
+        said = f"{reason[:200]}... ({len(reason):,} characters)"
+    line = text.strip()
+    rc, out, err = run_in_process(["stream", "--model", str(run.ckpt)], text)
+    assert (rc, out) == (cli.EXIT_OK, "")
+    assert err == (f"stream: line 1: malformed tick ({said}), "
+                   f"skipped: {line[:200]!r}... ({len(line):,} characters)\n")
+    assert len(err.encode()) < 512
+
+
 def test_non_utf8_line_stops_both_commands_at_that_line(run, bare_env, tmp_path):
     # 120 ticks with byte 0xff on line 61, more than 8 kB into the file. The
     # stream first writes the 28 forecasts whose windows end on lines 33-60.
@@ -1045,6 +1092,27 @@ def test_stream_ctrl_c_writes_the_note_and_exits_130(run):
     rc, out, err = run_interrupted(["stream", "--model", str(run.ckpt)],
                                    SimpleNamespace(buffer=stdin()))
     assert rc == cli.EXIT_INTERRUPTED and "Traceback" not in err
+    note, last = err.splitlines()
+    assert note.startswith("stream: 9 forecasts, service time p50 ") and last == "interrupted"
+    assert_32_tick_forecasts(run, lines, wrench, out.splitlines())
+
+
+def test_stream_ctrl_c_as_the_input_ends_still_writes_the_note(run, monkeypatch):
+    # A Ctrl-C that lands after the last line is read, as the note is about
+    # to be written (here: in its first call), still gets the note, then
+    # main's `interrupted` line.
+    lines, wrench = uniform_ticks(align_handover(load_recordings(run.data)[0]), 40)
+    latency_note, counts = cli._latency_note, []
+
+    def interrupted_once(service_s):
+        counts.append(len(service_s))
+        if len(counts) == 1:
+            raise KeyboardInterrupt
+        return latency_note(service_s)
+
+    monkeypatch.setattr(cli, "_latency_note", interrupted_once)
+    rc, out, err = run_interrupted(["stream", "--model", str(run.ckpt)], "\n".join(lines) + "\n")
+    assert (rc, counts) == (cli.EXIT_INTERRUPTED, [9, 9])
     note, last = err.splitlines()
     assert note.startswith("stream: 9 forecasts, service time p50 ") and last == "interrupted"
     assert_32_tick_forecasts(run, lines, wrench, out.splitlines())

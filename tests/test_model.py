@@ -323,8 +323,9 @@ for lib in glob.glob(os.path.join(libs, "*openblas*")):
 
 @pytest.mark.parametrize("coretype", KERNEL_SETS)
 def test_bit_contracts_hold_on_other_kernel_sets(coretype, cli_env):
-    # The row rule and the packed and blocked inference passes, bit for bit,
-    # at one BLAS thread under another kernel set, in a fresh process.
+    # The row rule, the packed and blocked inference passes and the hoisted
+    # BPTT, bit for bit, at one BLAS thread under another kernel set, in a
+    # fresh process.
     if platform.machine().lower() not in ("x86_64", "amd64"):
         pytest.skip("OpenBLAS kernel sets are x86-64 only")
     needs, names = KERNEL_SETS[coretype]
@@ -342,7 +343,7 @@ def test_bit_contracts_hold_on_other_kernel_sets(coretype, cli_env):
         pytest.skip(f"numpy's BLAS does not report {coretype}: {core}")
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
-         "-k", "project_rounds or forward_batch or packed"],
+         "-k", "project_rounds or forward_batch or packed or layer_backward"],
         env=env, cwd=Path(__file__).parent.parent, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout[-3000:]
 
