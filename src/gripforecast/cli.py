@@ -519,9 +519,11 @@ def cmd_stream(args: argparse.Namespace) -> int:
                 print(f"stream: tick at t_ms {_fmt(t_ms)}: the forecast is not finite, "
                       "no line written", file=sys.stderr)
                 continue
-            stdout.write(_fmt(t_ms) + "," + ",".join(map(repr, forecast.tolist())) + "\n")
-            stdout.flush()
-            service_s.append(clock() - arrived[0])
+            try:
+                stdout.write(_fmt(t_ms) + "," + ",".join(map(repr, forecast.tolist())) + "\n")
+                stdout.flush()
+            finally:  # an interrupt as the flush returns still counts the line written
+                service_s.append(clock() - arrived[0])
         note()  # inside the try: a signal that lands as the input ends still gets its note
     except KeyboardInterrupt:  # a live stream ends by Ctrl-C or SIGTERM: note, then main's exit
         note()

@@ -7,13 +7,13 @@ the final hidden state of the top layer through one affine head to the full
 backpropagation through time; there is no autograd underneath.
 
 The batch is the only interface: forward_batch and backward_batch take
-(T, B, 6) columns, and a single window is the batch B=1, as in predict_grip.
-Both read several windows off one column, since any prefix of a column is
-itself a window. forward_batch is the inference pass: its columns come
-longest first and may be zero-padded, and _Encoder runs both layers over
-one block of steps at a time, never over padding, so memory is bounded by
-the block, not by T. WindowStream is predict_grip for a stream of ticks: it
-keeps one prepared _Encoder and the normalized window from tick to tick.
+(T, B, 6) columns, and a single window is the batch B=1. Both read several
+windows off one column, since any prefix of a column is itself a window.
+forward_batch is the inference pass: its columns come longest first and may
+be zero-padded, and _Encoder runs both layers over one block of steps at a
+time, never over padding, so memory is bounded by the block, not by T.
+WindowStream.forecast turns one window into newtons through a prepared
+_Encoder, for a stream of ticks (push) and a raw window (predict_grip).
 backward_batch runs every column for all T steps and keeps the
 activations BPTT needs. Both advance a layer through one cell loop
 (_Cell.run). Only the recurrent product h_{t-1} @ W_hh^T (and, in BPTT,
@@ -477,35 +477,32 @@ def backward_batch(
 def predict_grip(x_raw: np.ndarray, p: ModelParams) -> np.ndarray:
     """Forecast 70 giver grip forces in newtons from a raw wrench window.
 
-    x_raw is (T, 6) in N / N*m. Normalizes with the embedded stats, runs the
-    encoder as a batch of one, and de-normalizes the grip channel. This is
-    the call a robotic giver makes on its wrist-sensor window. A window or
-    weights large enough to overflow float64 give a non-finite forecast;
-    the caller decides what to do with it.
+    x_raw is (T, 6) in N / N*m. Normalizes it with the embedded stats and
+    returns the forecast of a T-tick WindowStream on it. This is the call a
+    robotic giver makes on its wrist-sensor window. A window or weights
+    large enough to overflow float64 give a non-finite forecast; the caller
+    decides what to do with it.
     """
-    if p.norm is None:
-        raise ContractViolation("model has no normalization stats attached")
     x_raw = np.asarray(x_raw, dtype=np.float64)
-    if x_raw.ndim != 2 or x_raw.shape[0] < 1:
+    if x_raw.ndim != 2 or x_raw.shape[0] < 1 or x_raw.shape[1] != INPUT_DIM:
         raise ContractViolation(
-            f"predict_grip expects a non-empty (T, 6) window, got shape {x_raw.shape}"
+            f"predict_grip expects a non-empty (T, {INPUT_DIM}) window, got shape {x_raw.shape}"
         )
     if not np.all(np.isfinite(x_raw)):
         raise ContractViolation("predict_grip input contains non-finite values")
-    y_norm = forward_batch(normalize_wrench(x_raw, p.norm)[:, None, :], p)
-    return denormalize_grip(y_norm[0], p.norm)
+    return WindowStream(p, len(x_raw)).forecast(normalize_wrench(x_raw, p.norm)[:, None, :])
 
 
 class WindowStream:
-    """predict_grip over a sliding window of the last `n` ticks, fed one tick
+    """Forecasts over a sliding window of the last `n` ticks, fed one tick
     at a time.
 
     What does not depend on the ticks is prepared once: the _Encoder of one
     n-step column and a ring of 2n normalized rows. A tick is normalized on
     arrival and written at rows k and k + n, so the window is always the
-    contiguous slice ring[k + 1 : k + 1 + n]. A forecast then makes the same
-    products and ufunc calls on the same operands as predict_grip on that
-    window, so it equals predict_grip's bit for bit.
+    contiguous slice ring[k + 1 : k + 1 + n]. forecast() is the one route
+    from a normalized window to newtons: push() ends in it, and predict_grip
+    is forecast() on its whole window, so the two agree bit for bit.
     """
 
     def __init__(self, p: ModelParams, n: int):
@@ -528,5 +525,8 @@ class WindowStream:
         self.filled += 1
         if self.filled < self.n:
             return None
-        h_top = self.encoder.run(self.ring[k + 1 : k + 1 + self.n])
-        return denormalize_grip(head(h_top, self.p)[0], self.p.norm)
+        return self.forecast(self.ring[k + 1 : k + 1 + self.n])
+
+    def forecast(self, window: np.ndarray) -> np.ndarray:
+        """The 70-step forecast in newtons of a normalized (n, 1, 6) window."""
+        return denormalize_grip(head(self.encoder.run(window), self.p)[0], self.p.norm)

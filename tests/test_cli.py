@@ -115,7 +115,10 @@ def test_unknown_command_is_usage_error():
      "argument --seed: expected an integer, got 'x'"),
     (["stream", "--model", "m.json", "--window-ms", "5"],
      "argument --window-ms: --window-ms must lie in [10, 1250] ms, got 5"),
-], ids=["synth", "train", "eval", "predict", "stream", "pairs_0", "seed_x", "window_ms_5"])
+    (["stream", "--model", "m.json", "--window-ms", "abc"],
+     "argument --window-ms: expected a number, got 'abc'"),
+], ids=["synth", "train", "eval", "predict", "stream", "pairs_0", "seed_x", "window_ms_5",
+        "window_ms_abc"])
 def test_usage_error_is_exit_1_and_one_error_line_after_the_usage(argv, says):
     rc, out, err = run_in_process(argv)
     *usage, last = err.splitlines()
@@ -206,6 +209,13 @@ def test_checkpoint_write_that_fails_partway_keeps_the_old_file(run, tmp_path, m
     assert os.listdir(tmp_path) == ["checkpoint.json"]
 
 
+def test_save_checkpoint_needs_norm_stats(tmp_path):
+    path = tmp_path / "checkpoint.json"
+    with pytest.raises(ContractViolation, match="normalization stats"):
+        cli.save_checkpoint(path, m.init_params(0, hidden=2), TrainConfig())
+    assert not path.exists()
+
+
 def run_interrupted(argv, stdin_text=""):
     """run_in_process for a run that Ctrl-C stops: a KeyboardInterrupt that
     escapes cli.main fails the test instead of stopping the test session."""
@@ -255,6 +265,20 @@ def test_train_unknown_test_pair_is_data_error(run, tmp_path, capsys):
     )
     assert rc == cli.EXIT_DATA
     assert "42" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("test_pairs, says", [
+    (",", "--test-pairs must name at least one pair id"),
+    ("1,2,3", "no pairs left for training after removing test pairs"),
+], ids=["no_pair", "every_pair"])
+def test_train_test_pairs_leaving_nothing_to_split_is_data_error(run, tmp_path, test_pairs,
+                                                                 says):
+    out = tmp_path / "o"
+    rc, stdout, err = run_in_process(
+        ["train", "--data", str(run.data), "--test-pairs", test_pairs, "--config",
+         str(run.cfg_path), "--out", str(out)])
+    assert (rc, stdout, err) == (cli.EXIT_DATA, "", f"error: {says}\n")
+    assert not out.exists()
 
 
 def test_train_unreadable_data_is_data_error(run, tmp_path):
@@ -388,6 +412,17 @@ def test_train_split_without_windows_is_data_error(run, tmp_path, split):
         ["train", "--data", str(data), "--test-pairs", "3", "--config", str(run.cfg_path),
          "--out", str(out)])
     assert (rc, stdout, err) == (cli.EXIT_DATA, "", f"error: {split} pairs produced no samples\n")
+    assert not out.exists()
+
+
+def test_eval_test_pairs_without_windows_is_data_error(run, tmp_path):
+    data = tmp_path / "short.csv"
+    save_recordings([cut_around_crossing(r) for r in load_recordings(run.data)], data)
+    out = tmp_path / "o"
+    rc, stdout, err = run_in_process(
+        ["eval", "--model", str(run.ckpt), "--data", str(data), "--test-pairs", "3",
+         "--out", str(out)])
+    assert (rc, stdout, err) == (cli.EXIT_DATA, "", "error: test pairs produced no samples\n")
     assert not out.exists()
 
 
@@ -1118,6 +1153,33 @@ def test_stream_ctrl_c_as_the_input_ends_still_writes_the_note(run, monkeypatch)
     assert_32_tick_forecasts(run, lines, wrench, out.splitlines())
 
 
+class _FlushInterrupted(io.StringIO):
+    """A stdout whose `at`-th flush raises KeyboardInterrupt as it returns."""
+
+    def __init__(self, at):
+        super().__init__()
+        self.at, self.flushes = at, 0
+
+    def flush(self):
+        self.flushes += 1
+        if self.flushes == self.at:
+            raise KeyboardInterrupt
+
+
+def test_stream_note_counts_a_line_whose_flush_is_interrupted(run):
+    # Ctrl-C as the 9th of 9 forecasts is flushed: that line is written, so
+    # the note counts 9 forecasts, not 8.
+    lines, wrench = uniform_ticks(align_handover(load_recordings(run.data)[0]), 40)
+    args = cli.build_parser().parse_args(["stream", "--model", str(run.ckpt)])
+    args.stdin, args.stdout = iter(lines), _FlushInterrupted(9)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(KeyboardInterrupt):
+        cli.cmd_stream(args)
+    assert err.getvalue().startswith("stream: 9 forecasts, service time p50 ")
+    assert err.getvalue().count("\n") == 1
+    assert_32_tick_forecasts(run, lines, wrench, args.stdout.getvalue().splitlines())
+
+
 def assert_32_tick_forecasts(run, lines, wrench, out):
     """`out` holds the forecast lines of a 260 ms stream over the tick
     `lines`, each one predict_grip on its 32-tick window."""
@@ -1153,7 +1215,8 @@ def test_stream_stopped_by_a_signal_writes_the_note(run, cli_env, sig, code, las
     rest, err = proc.communicate(timeout=120)
     assert proc.returncode == code and "Traceback" not in err
     note, final = err.splitlines()
-    # A signal between the last line's write and its count leaves it out.
+    # A signal that lands inside the clock call of the count's `finally`,
+    # after the last line is written, still leaves that line out.
     assert note.startswith(("stream: 9 forecasts, ", "stream: 8 forecasts, "))
     assert final == last and rest == ""
     assert_32_tick_forecasts(run, lines, wrench, out)

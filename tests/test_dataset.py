@@ -669,6 +669,21 @@ def test_training_sample_validation():
         TrainingSample("1", "1", -260.0, 0.0, np.zeros((31, 6)), np.zeros(70)).validate()
 
 
+@pytest.mark.parametrize("field, bad, says", [
+    ("t_ms", lambda r: r.t_ms[:0], "at least one sample"),
+    ("wrench", lambda r: r.wrench[:, :5], r"wrench shape \(40, 5\) does not match 40 samples"),
+    ("grip_taker", lambda r: r.grip_taker[1:], "grip series length mismatch"),
+    ("t_ms", lambda r: r.t_ms * 1.02, "not uniform 120 Hz spacing"),
+    ("grip_giver", lambda r: np.where(np.arange(40) == 7, np.nan, r.grip_giver),
+     "grip_giver contains non-finite values"),
+], ids=["empty", "wrench_shape", "grip_length", "spacing", "non_finite"])
+def test_handover_record_validation(field, bad, says):
+    record = make_record(n=40, k0=20)
+    record.validate()
+    with pytest.raises(ContractViolation, match=says):
+        replace(record, **{field: bad(record)}).validate()
+
+
 # ---------------------------------------------------------------------------
 # split + normalization
 

@@ -1,11 +1,13 @@
 """Every module-level private name and every module-level import in src/ is
-used there: code that nothing calls is deleted, not kept."""
+used there, and every public name in src/ is read by src/, perfbench/ or
+tests/: code that nothing calls is deleted, not kept."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gripforecast"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gripforecast"
 
 
 def _uses(node: ast.AST) -> Counter:
@@ -21,19 +23,24 @@ def _uses(node: ast.AST) -> Counter:
     return found
 
 
-def _private_definitions(tree: ast.Module):
-    """(name, defining statement) of each module-level private name, dunders aside."""
+def _definitions(tree: ast.Module):
+    """(name, defining statement) of each module-level function, class and
+    assigned name."""
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [stmt.name]
+            yield stmt.name, stmt
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        else:
-            continue
-        for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, stmt
+            yield from ((n.id, stmt) for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name))
+
+
+def _methods(tree: ast.Module):
+    """(name, definition) of each method of each module-level class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            yield from ((sub.name, sub) for sub in cls.body
+                        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)))
 
 
 def test_every_private_module_name_is_used_in_src():
@@ -43,8 +50,24 @@ def test_every_private_module_name_is_used_in_src():
     uses = sum((_uses(tree) for tree in trees.values()), Counter())
     unused = [f"{module}: {name}"
               for module, tree in trees.items()
-              for name, stmt in _private_definitions(tree)
-              if uses[name] == _uses(stmt)[name]]
+              for name, stmt in _definitions(tree)
+              if name.startswith("_") and not name.startswith("__")
+              and uses[name] == _uses(stmt)[name]]
+    assert not unused, unused
+
+
+def test_every_public_name_in_src_is_read_somewhere():
+    # Public module-level names and public methods; a read inside the name's
+    # own definition (a recursive call, say) does not count.
+    files = [path for top in ("src", "perfbench", "tests")
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+    assert SRC / "model.py" in trees and ROOT / "perfbench" / "run.py" in trees
+    uses = sum((_uses(tree) for tree in trees.values()), Counter())
+    unused = [f"{path.name}: {name}"
+              for path in sorted(SRC.glob("*.py"))
+              for name, stmt in (*_definitions(trees[path]), *_methods(trees[path]))
+              if not name.startswith("_") and uses[name] == _uses(stmt)[name]]
     assert not unused, unused
 
 

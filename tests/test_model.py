@@ -323,9 +323,9 @@ for lib in glob.glob(os.path.join(libs, "*openblas*")):
 
 @pytest.mark.parametrize("coretype", KERNEL_SETS)
 def test_bit_contracts_hold_on_other_kernel_sets(coretype, cli_env):
-    # The row rule, the packed and blocked inference passes and the hoisted
-    # BPTT, bit for bit, at one BLAS thread under another kernel set, in a
-    # fresh process.
+    # The row rule, the packed and blocked inference passes, the hoisted
+    # BPTT and the stream's forecasts against predict_grip, bit for bit, at
+    # one BLAS thread under another kernel set, in a fresh process.
     if platform.machine().lower() not in ("x86_64", "amd64"):
         pytest.skip("OpenBLAS kernel sets are x86-64 only")
     needs, names = KERNEL_SETS[coretype]
@@ -343,7 +343,7 @@ def test_bit_contracts_hold_on_other_kernel_sets(coretype, cli_env):
         pytest.skip(f"numpy's BLAS does not report {coretype}: {core}")
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
-         "-k", "project_rounds or forward_batch or packed or layer_backward"],
+         "-k", "project_rounds or forward_batch or packed or layer_backward or window_stream"],
         env=env, cwd=Path(__file__).parent.parent, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout[-3000:]
 
@@ -572,8 +572,31 @@ def test_predict_grip_rejects_non_finite():
     params = replace(small_params(), norm=make_norm())
     x = np.zeros((32, 6))
     x[3, 2] = np.nan
-    with pytest.raises(ContractViolation):
-        m.predict_grip(x, params)
+    # A window with the wrong channel count is refused the same way, not by
+    # numpy's broadcast ValueError.
+    for bad in (x, np.zeros((32, 4)), np.zeros((32, 7))):
+        with pytest.raises(ContractViolation):
+            m.predict_grip(bad, params)
+
+
+@pytest.mark.parametrize("n", [2, 31, 151])
+def test_window_stream_matches_predict_grip_bit_for_bit(n):
+    # 2n + 10 ticks, restarted at tick n + 5: in both runs the ring wraps,
+    # and each forecast is predict_grip's on the same ticks, byte for byte.
+    params = replace(m.init_params(3, hidden=40), norm=make_norm())
+    ticks = Rng(derive_seed(17, n)).normals((2 * n + 10) * 6, 2.0, 3.0).reshape(-1, 6)
+    stream, start, forecasts = m.WindowStream(params, n), 0, 0
+    for k, tick in enumerate(ticks):
+        if k == n + 5:
+            stream.restart()
+            start = k
+        got = stream.push(tick.tolist())
+        if k - start + 1 < n:
+            assert got is None
+        else:
+            assert got.tobytes() == m.predict_grip(ticks[k - n + 1 : k + 1], params).tobytes()
+            forecasts += 1
+    assert forecasts == 12
 
 
 def test_copy_params_is_deep():
