@@ -6,3 +6,7 @@ sample wrench windows with fixed-horizon grip targets, train a 2-layer LSTM
 forecaster with exact BPTT gradients, and serve 70-step (583.33 ms) grip
 forecasts from recorded or streaming wrench input.
 """
+
+from .numerics import one_blas_thread
+
+one_blas_thread()  # on import, before any product: the thread count changes no bit

@@ -25,6 +25,7 @@ from array import array
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from time import perf_counter as clock
+from typing import BinaryIO
 
 import numpy as np
 
@@ -64,6 +65,10 @@ WRENCH_CSV_HEADER = ["t_ms", *WRENCH_COLUMNS]
 
 STREAM_WINDOW_MS_MIN = 10.0
 STREAM_WINDOW_MS_MAX = 1250.0
+
+# Bytes a tick line may hold before its LF; a tick of seven repr floats is
+# under 200. No read holds more, so memory is bounded whatever the input.
+LINE_LIMIT = 65_536
 
 
 def _any_int(text: str) -> int:
@@ -267,9 +272,24 @@ def _parse_tick(line: str) -> tuple[float, list[float]]:
     return values[0], values[1:]
 
 
-def _text_lines(fh: Iterable[bytes], source: str) -> Iterator[str]:
-    """Each LF-ended line of `fh` as it arrives, decoded on its own (BOM dropped on line 1)."""
-    for lineno, raw in enumerate(fh, start=1):
+def _text_lines(fh: BinaryIO, source: str, strict: bool) -> Iterator[str]:
+    """Each LF-ended line of `fh` as it arrives, decoded on its own (BOM dropped on line 1).
+
+    A line longer than LINE_LIMIT bytes is a DataError with `strict`
+    (predict). Otherwise (stream) it gets the malformed-tick note, its rest
+    is read and dropped in pieces of that size, and it counts as blank.
+    """
+    lineno = 0
+    while raw := fh.readline(LINE_LIMIT + 1):
+        lineno += 1
+        if len(raw) > LINE_LIMIT and not raw.endswith(b"\n"):
+            reason = f"longer than {LINE_LIMIT:,} bytes"
+            if strict:
+                raise DataError(f"{source}: line {lineno}: {reason}")
+            _skip_note(source, lineno, reason, raw[:200].decode("utf-8", "replace"))
+            while (rest := fh.readline(LINE_LIMIT + 1)) and not rest.endswith(b"\n"):
+                pass
+            raw = b""
         try:
             yield raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
         except UnicodeDecodeError as exc:
@@ -279,6 +299,12 @@ def _text_lines(fh: Iterable[bytes], source: str) -> Iterator[str]:
 def _capped(text: str, show: Callable[[str], str] = str) -> str:
     """show(text), or show() of its first 200 characters, then `...` and its length."""
     return show(text) if len(text) <= 200 else f"{show(text[:200])}... ({len(text):,} characters)"
+
+
+def _skip_note(source: str, lineno: int, reason: str, line: str) -> None:
+    """stream's one stderr note for a malformed tick line that it skips."""
+    print(f"{source}: line {lineno}: malformed tick ({_capped(reason)}), "
+          f"skipped: {_capped(line, repr)}", file=sys.stderr)
 
 
 def _read_ticks(
@@ -310,8 +336,7 @@ def _read_ticks(
         except DataError as exc:
             if strict:
                 raise DataError(f"{source}: line {lineno}: {exc}") from None
-            print(f"{source}: line {lineno}: malformed tick ({_capped(str(exc))}), "
-                  f"skipped: {_capped(line, repr)}", file=sys.stderr)
+            _skip_note(source, lineno, str(exc), line)
             continue
         if last_t is not None and t_ms <= last_t:
             raise DataError(f"{source}: line {lineno}: timestamp {t_ms:g} does not "
@@ -450,8 +475,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 @np.errstate(all="ignore")  # an overflow shows as a non-finite forecast, checked below
 def cmd_predict(args: argparse.Namespace) -> int:
     params, _ = load_checkpoint(args.model)
+    source = str(args.input)
     with open(args.input, "rb") as fh:
-        ticks = list(_read_ticks(_text_lines(fh, str(args.input)), str(args.input), strict=True))
+        ticks = list(_read_ticks(_text_lines(fh, source, strict=True), source, strict=True))
     if not ticks:
         raise DataError(f"{args.input} has a header but no ticks")
     forecast = m.predict_grip(np.asarray([wrench for _, wrench, _ in ticks]), params)
@@ -494,7 +520,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
     """
     params, _ = load_checkpoint(args.model)
     window = m.WindowStream(params, ms_to_steps(args.window_ms) + 1)
-    stdin = args.stdin if args.stdin is not None else _text_lines(sys.stdin.buffer, "stream")
+    stdin = (args.stdin if args.stdin is not None
+             else _text_lines(sys.stdin.buffer, "stream", strict=False))
     stdout = args.stdout if args.stdout is not None else sys.stdout
     arrived = [0.0]  # when the last line read came in
     service_s = array("d")

@@ -165,7 +165,8 @@ class _Cell:
 
     project() makes only even-row GEMMs, running an odd last row with a zero
     row under it: OpenBLAS rounds odd-row products unlike taller ones, and
-    at one thread even-row ones alike, so no cut of the steps moves a bit.
+    even-row ones alike at the one thread that importing gripforecast sets
+    (numerics.one_blas_thread), so no cut of the steps moves a bit.
     """
 
     def __init__(self, p: LstmLayerParams, width: int):

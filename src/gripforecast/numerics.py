@@ -1,4 +1,4 @@
-"""A seeded, platform-stable PRNG and seed derivation.
+"""Numeric set-up: one BLAS thread, a seeded platform-stable PRNG and seed derivation.
 
 Randomness comes from a hand-rolled splitmix64 stream so that a fixed seed
 produces the identical byte sequence on every platform and numpy version.
@@ -6,7 +6,9 @@ produces the identical byte sequence on every platform and numpy version.
 
 from __future__ import annotations
 
+import ctypes
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -14,6 +16,25 @@ from .errors import ContractViolation
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+
+def one_blas_thread(libs: Path = Path(np.__file__).parent.parent / "numpy.libs") -> bool:
+    """Run numpy's bundled OpenBLAS (found in `libs`) at one thread; True if found.
+
+    OpenBLAS splits a long product between its threads, which changes the
+    product's rounding, so without this the thread count would change the
+    bits of checkpoints and forecasts. Any other BLAS is left as it is.
+    """
+    for lib in libs.glob("*openblas*"):
+        try:
+            set_threads = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_set_num_threads64_", None)
+        except OSError:
+            continue
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+            return True
+    return False
 
 
 def _mix64(z: int | np.ndarray) -> int | np.ndarray:

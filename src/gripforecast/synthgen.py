@@ -113,20 +113,26 @@ def crossing_time_ms(params: SynthParams) -> float:
 
 
 def _sigma(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
+    """The logistic function as 0.5 * tanh(z / 2) + 0.5, the identity the model's
+    cell uses: numpy's exp gives other bits under other SIMD targets, its tanh not."""
+    return 0.5 * np.tanh(0.5 * z) + 0.5
 
 
 def _smooth_noise(rng: Rng, n: int, std: float) -> np.ndarray:
     """Band-limited noise: white normals through an L2-normalized boxcar.
 
     The kernel has unit L2 norm so the marginal standard deviation of the
-    output matches `std` (edge samples are slightly quieter).
+    output matches `std` (edge samples are slightly quieter). The boxcar is
+    a sum of shifted copies in a fixed order, element-wise adds only, so no
+    BLAS kernel set or thread count can change its rounding.
     """
     if std == 0.0:
         return np.zeros(n)
-    white = rng.normals(n, 0.0, std)
-    kernel = np.full(_SMOOTH_LEN, 1.0 / math.sqrt(_SMOOTH_LEN))
-    return np.convolve(white, kernel, mode="same")
+    scaled = np.pad(rng.normals(n, 0.0, std) * (1.0 / math.sqrt(_SMOOTH_LEN)), _SMOOTH_LEN // 2)
+    out = np.zeros(n)
+    for shift in range(_SMOOTH_LEN):
+        out += scaled[shift : shift + n]
+    return out
 
 
 def generate_handover(params: SynthParams, pair_id: str, handover_id: str) -> HandoverRecord:

@@ -209,6 +209,23 @@ def test_checkpoint_write_that_fails_partway_keeps_the_old_file(run, tmp_path, m
     assert os.listdir(tmp_path) == ["checkpoint.json"]
 
 
+def test_train_bytes_do_not_depend_on_the_blas_thread_count(run, cli_env, tmp_path):
+    # At the default width of 40, OpenBLAS splits the weight-gradient
+    # products between 2 threads and so changes their rounding. Importing
+    # gripforecast sets it to one thread, so both runs write the same bytes.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 2}))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "gripforecast", "train", "--data", str(run.data),
+                        "--test-pairs", "3", "--config", str(cfg), "--out", str(out)],
+                       env={**cli_env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True,
+                       check=True, timeout=300)
+        outs.append([(out / name).read_bytes() for name in ("checkpoint.json", "loss_history.csv")])
+    assert outs[0] == outs[1]
+
+
 def test_save_checkpoint_needs_norm_stats(tmp_path):
     path = tmp_path / "checkpoint.json"
     with pytest.raises(ContractViolation, match="normalization stats"):
@@ -827,6 +844,62 @@ def test_non_utf8_line_stops_both_commands_at_that_line(run, bare_env, tmp_path)
     assert_32_tick_forecasts(run, lines[:59], wrench, out_s.decode().splitlines())
 
 
+def test_line_limit_skips_a_longer_line_in_stream_and_stops_predict(run, tmp_path):
+    # A tick padded to LINE_LIMIT bytes before its LF is read as usual. One
+    # byte more, and stream notes and skips that line and reads on after its
+    # LF, while predict stops there, naming the line.
+    lines, wrench = uniform_ticks(align_handover(load_recordings(run.data)[0]), 34)
+    padded = lines[32].ljust(cli.LINE_LIMIT)
+    long = "x" * (cli.LINE_LIMIT + 1)
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join([HEADER, *lines[:32], padded, long, lines[33]]) + "\n")
+    rc, out, err = run_in_process(["stream", "--model", str(run.ckpt)], path.read_text())
+    assert rc == cli.EXIT_OK
+    assert err.splitlines()[0] == (f"stream: line 35: malformed tick (longer than "
+                                   f"{cli.LINE_LIMIT:,} bytes), skipped: {long[:200]!r}")
+    assert_32_tick_forecasts(run, lines, wrench, out.splitlines())
+    argv = ["predict", "--model", str(run.ckpt), "--input", str(path)]
+    assert run_in_process(argv) == (
+        cli.EXIT_DATA, "", f"error: {path}: line 35: longer than {cli.LINE_LIMIT:,} bytes\n")
+    path.write_text("\n".join([HEADER, *lines[:32], padded]) + "\n")
+    assert run_in_process(argv)[0] == cli.EXIT_OK
+
+
+PEAK_RSS = """
+import json, resource, subprocess, sys
+with open(sys.argv[1], "rb") as fh:
+    child = subprocess.run(sys.argv[2:], stdin=fh, capture_output=True)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(json.dumps([child.returncode, peak, child.stderr.decode()]))
+"""
+
+
+@pytest.mark.parametrize("command", ["predict", "stream"])
+def test_input_without_lf_keeps_memory_bounded(run, cli_env, tmp_path, command):
+    # 32 MB of bare-CR ticks is one line 1, read and dropped in LINE_LIMIT
+    # pieces: the child's peak RSS stays near that of a 1 MB feed. Holding
+    # and splitting the whole line took 8 to 20 times the input.
+    pytest.importorskip("resource")
+    tick = b"0.0,1.0,2.0,3.0,4.0,5.0,6.0\r"
+    peaks = []
+    for mb in (1, 32):
+        data = tick * (mb * 2**20 // len(tick))
+        path = tmp_path / f"{mb}mb.csv"
+        path.write_bytes(data)
+        argv = [sys.executable, "-m", "gripforecast", command, "--model", str(run.ckpt)]
+        argv += ["--input", str(path)] if command == "predict" else []
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS, str(path), *argv], env=cli_env,
+                              capture_output=True, text=True, check=True, timeout=300)
+        rc, peak, err = json.loads(proc.stdout)
+        limit = f"longer than {cli.LINE_LIMIT:,} bytes"
+        assert (rc, err) == ((cli.EXIT_DATA, f"error: {path}: line 1: {limit}\n")
+                             if command == "predict" else
+                             (cli.EXIT_OK, f"stream: line 1: malformed tick ({limit}), "
+                                           f"skipped: {data[:200].decode()!r}\n"))
+        peaks.append(peak)
+    assert peaks[1] < 1.2 * peaks[0], peaks
+
+
 # ---------------------------------------------------------------------------
 # stream
 
@@ -934,7 +1007,7 @@ def run_in_process(argv, stdin_text=""):
     """cli.main with stdin, stdout and stderr in memory: (exit code, out, err).
 
     stdin_text is a string, which stdin holds as UTF-8 bytes, or an object
-    whose `.buffer` gives stdin's bytes. Any warning is raised as an error,
+    whose `.buffer.readline` gives stdin's lines. Any warning is raised as an error,
     so a numpy RuntimeWarning shows up as exit 3.
     """
     stdin = (io.TextIOWrapper(io.BytesIO(stdin_text.encode()), encoding="utf-8")
@@ -1124,8 +1197,10 @@ def test_stream_ctrl_c_writes_the_note_and_exits_130(run):
         yield from ((line + "\n").encode() for line in lines)
         raise KeyboardInterrupt
 
+    feed = stdin()
     rc, out, err = run_interrupted(["stream", "--model", str(run.ckpt)],
-                                   SimpleNamespace(buffer=stdin()))
+                                   SimpleNamespace(buffer=SimpleNamespace(
+                                       readline=lambda limit: next(feed))))
     assert rc == cli.EXIT_INTERRUPTED and "Traceback" not in err
     note, last = err.splitlines()
     assert note.startswith("stream: 9 forecasts, service time p50 ") and last == "interrupted"

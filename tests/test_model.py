@@ -321,14 +321,10 @@ for lib in glob.glob(os.path.join(libs, "*openblas*")):
 """
 
 
-@pytest.mark.parametrize("coretype", KERNEL_SETS)
-def test_bit_contracts_hold_on_other_kernel_sets(coretype, cli_env):
-    # The row rule, the packed and blocked inference passes, the hoisted
-    # BPTT and the stream's forecasts against predict_grip, bit for bit, at
-    # one BLAS thread under another kernel set, in a fresh process.
+def cpu_flags_or_skip(needs):
+    """Skip unless this is an x86-64 CPU with every flag in `needs`."""
     if platform.machine().lower() not in ("x86_64", "amd64"):
-        pytest.skip("OpenBLAS kernel sets are x86-64 only")
-    needs, names = KERNEL_SETS[coretype]
+        pytest.skip("OpenBLAS kernel sets and numpy's x86 targets are x86-64 only")
     try:
         flags = set(re.search(r"^flags\s*:(.*)$", Path("/proc/cpuinfo").read_text(),
                               re.M).group(1).split())
@@ -336,16 +332,43 @@ def test_bit_contracts_hold_on_other_kernel_sets(coretype, cli_env):
         pytest.skip("no CPU flags to read")
     if not needs <= flags:
         pytest.skip(f"this CPU lacks {sorted(needs - flags)}")
-    env = {**cli_env, "OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": coretype}
+
+
+def assert_bit_tests_pass(env):
+    """The row-rule, packed, blocked-inference, hoisted-BPTT and stream bit
+    tests and the two synthgen hash tests, in a fresh process under `env`."""
+    tests = Path(__file__).parent
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         str(tests / "test_synthgen.py"), "-k",
+         "project_rounds or forward_batch or packed or layer_backward or window_stream or pinned"],
+        env=env, cwd=tests.parent, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout[-3000:]
+
+
+@pytest.mark.parametrize("coretype, threads", [
+    pytest.param(coretype, threads, id=coretype + ("" if threads == "1" else "-2-threads"))
+    for coretype in KERNEL_SETS for threads in ("1", "2")])
+def test_bit_contracts_hold_on_other_kernel_sets(coretype, threads, cli_env):
+    # The same bits under another kernel set, at 1 and at 2 BLAS threads:
+    # importing gripforecast sets numpy's OpenBLAS to one thread, and the
+    # synthetic data runs no BLAS at all.
+    needs, names = KERNEL_SETS[coretype]
+    cpu_flags_or_skip(needs)
+    env = {**cli_env, "OPENBLAS_NUM_THREADS": threads, "OPENBLAS_CORETYPE": coretype}
     core = subprocess.run([sys.executable, "-c", CORENAME], env=env, capture_output=True,
                           text=True, check=True, timeout=60).stdout.split()
     if not core or core[0] not in names:
         pytest.skip(f"numpy's BLAS does not report {coretype}: {core}")
-    result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
-         "-k", "project_rounds or forward_batch or packed or layer_backward or window_stream"],
-        env=env, cwd=Path(__file__).parent.parent, capture_output=True, text=True, timeout=300)
-    assert result.returncode == 0, result.stdout[-3000:]
+    assert_bit_tests_pass(env)
+
+
+def test_bit_contracts_hold_under_avx2_only_numpy(cli_env):
+    # numpy's AVX-512 loops switched off: the AVX2 ones give the same bits,
+    # tanh included (numpy's X86_V2 baseline tanh does not).
+    cpu_flags_or_skip({"avx512f"})
+    assert_bit_tests_pass(
+        {**cli_env, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
 
 
 def test_forward_batch_memory_is_bounded_by_the_block(reference_roots):

@@ -1,4 +1,4 @@
-"""Tests for the deterministic PRNG and seed derivation."""
+"""Tests for the BLAS set-up, the deterministic PRNG and seed derivation."""
 
 import hashlib
 
@@ -7,7 +7,7 @@ import pytest
 
 from gripforecast.errors import ContractViolation
 from gripforecast.model import init_params
-from gripforecast.numerics import Rng, derive_seed
+from gripforecast.numerics import Rng, derive_seed, one_blas_thread
 
 # Reference splitmix64 outputs for seed 1 (the widely published test vector).
 SPLITMIX64_SEED1 = [
@@ -122,3 +122,16 @@ def test_init_params_and_permutation_bytes_are_pinned():
         "51a8713d9cedeb09bb9c6fc2caed65036e8bea79dd984efbb734d955675287e3")
     assert hashlib.sha256(perm).hexdigest() == (
         "e5bd6310619b4e289eaef36e23cacc5531249567d6e3b9ee11cdaa961f61956c")
+
+
+def test_one_blas_thread_does_nothing_without_a_bundled_openblas(tmp_path):
+    # No library, a file that only looks like one, and a library without
+    # OpenBLAS's thread setter: nothing is called, and nothing raises.
+    assert one_blas_thread(tmp_path) is False
+    (tmp_path / "libscipy_openblas64_-stub.so").write_bytes(b"not a library")
+    assert one_blas_thread(tmp_path) is False
+    ctypes_ext = getattr(pytest.importorskip("_ctypes"), "__file__", None)
+    if ctypes_ext is None:
+        pytest.skip("_ctypes is built into this Python, so no library to stand in")
+    (tmp_path / "libopenblas-stub.so").symlink_to(ctypes_ext)
+    assert one_blas_thread(tmp_path) is False

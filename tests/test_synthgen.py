@@ -166,7 +166,7 @@ def test_generate_dataset_bytes_are_pinned():
         h.update(f"{rec.pair_id}/{rec.handover_id}".encode())
         for arr in (rec.t_ms, rec.wrench, rec.grip_giver, rec.grip_taker):
             h.update(arr.tobytes())
-    assert h.hexdigest() == "b262522d2703e3c750f29de2f8a9b1343f1eaf91de161c5605bf366c81c7d890"
+    assert h.hexdigest() == "d4e129f28895098334ca6e664a27b2d117d0fae6b3089061628d8d01a0a4be36"
 
 
 def test_reference_dataset_and_windows_bytes_are_pinned():
@@ -178,7 +178,7 @@ def test_reference_dataset_and_windows_bytes_are_pinned():
         h.update(f"{rec.pair_id}/{rec.handover_id}\n".encode())
         for arr in (rec.t_ms, rec.wrench, rec.grip_giver, rec.grip_taker):
             h.update(arr.astype("<f8").tobytes())
-    assert h.hexdigest() == "1b415fa98df96bf0b244759c00ddf6ae6ed656934e5aac2872c4dbddc6a729de"
+    assert h.hexdigest() == "aa387605ca7136a9b545359928cd58d6e8e59ed27fea83394223798a245e695e"
     h = hashlib.sha256()
     samples = [s for rec in records for s in extract_samples(align_handover(rec))]
     for s in samples:
@@ -186,7 +186,7 @@ def test_reference_dataset_and_windows_bytes_are_pinned():
         h.update(s.x.astype("<f8").tobytes())
         h.update(s.y.astype("<f8").tobytes())
     assert len(samples) == 3900
-    assert h.hexdigest() == "acb4e0cf35fa4b72da41f6f54b87d7398f5113ab8aa6220908d80f279d9350da"
+    assert h.hexdigest() == "0ad69e68fc99b53683fd61f054285c2825947bfb3a394a2ebf603444310d72a8"
 
 
 def test_generate_dataset_draws_stay_in_range():
