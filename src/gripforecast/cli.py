@@ -37,7 +37,6 @@ from .dataset import (
     PERIOD_MS,
     TrainingSample,
     WRENCH_COLUMNS,
-    align_handover,
     apply_norm,
     extract_samples,
     fit_norm_stats,
@@ -245,8 +244,8 @@ def _parse_test_pairs(text: str) -> set[str]:
 
 
 def _windows(records: list[HandoverRecord]) -> list[TrainingSample]:
-    """Align each record and cut the default policy's windows, in record order."""
-    return [s for rec in records for s in extract_samples(align_handover(rec))]
+    """The default policy's windows of each record, in record order."""
+    return [s for rec in records for s in extract_samples(rec)]
 
 
 def _sample_id(sample: TrainingSample) -> str:

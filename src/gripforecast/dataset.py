@@ -1,20 +1,21 @@
-"""Handover recordings: loading, alignment, window extraction, splits.
+"""Handover recordings: loading, the grip crossing, window extraction, splits.
 
 A recording is a 120 Hz time series of the 6-axis interaction wrench plus
 the giver's and taker's grip forces. load_recordings tokenizes each row of
 the recording CSV once: one np.loadtxt pass returns the ids and the numbers
-together, as one structured table. Alignment shifts timestamps so t=0 sits
-on the first sample at-or-after the downward crossing of (giver - taker)
-grip force. Training samples pair a wrench window X over
-[t_o, t_e] with the 70 giver grip values Y over the following 583.33 ms
-(y covers (t_e, t_f]; X and Y meet at the t_e boundary and do not share a
-sample), with t_e in {0, -50, -100, -150, -200, -250} ms and t_o in {-260,
--510, -760, -1010, -1250} ms (the last gap is 240 ms). A window's x and y are
-read-only views of its record, and apply_norm z-scores a record's rows once
-and hands out views of them. The normalization stats are fit over the
-training windows read in pieces of bounded size, each one copied afresh
-from the windows it spans (_piece), never the windows concatenated, with
-the bits numpy gives for the concatenation.
+together, as one structured table. A handover's t=0 is its first sample
+at-or-after the downward crossing of (giver - taker) grip force, whatever
+its clock reads there: extract_samples finds that row itself, and
+align_handover only re-zeros the clock on it. Training samples pair a
+wrench window X over [t_o, t_e] with the 70 giver grip values Y over the
+following 583.33 ms (y covers (t_e, t_f]; X and Y meet at the t_e boundary
+and do not share a sample), with t_e in {0, -50, -100, -150, -200, -250} ms
+and t_o in {-260, -510, -760, -1010, -1250} ms (the last gap is 240 ms). A
+window's x and y are read-only views of its record, and apply_norm z-scores
+a record's rows once and hands out views of them. The normalization stats
+are fit over the training windows read in pieces of bounded size, each one
+copied afresh from the windows it spans (_piece), never the windows
+concatenated, with the bits numpy gives for the concatenation.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def parse_number(cell: str) -> float:
 
 @dataclass
 class HandoverRecord:
-    """One handover's aligned-or-raw time series at 120 Hz."""
+    """One handover's time series at 120 Hz, on any clock: windows do not read it."""
 
     pair_id: str
     handover_id: str
@@ -107,7 +108,6 @@ class HandoverRecord:
     wrench: np.ndarray  # (T, 6) columns in WRENCH_COLUMNS order
     grip_giver: np.ndarray  # (T,)
     grip_taker: np.ndarray  # (T,)
-    aligned: bool = False
 
     def __len__(self) -> int:
         return len(self.t_ms)
@@ -152,7 +152,7 @@ class TrainingSample:
 
     @property
     def family(self) -> tuple[str, str, int]:
-        """(pair_id, handover_id, first step counted from the alignment point).
+        """(pair_id, handover_id, first step counted from the crossing row).
         extract_samples cuts the windows of one family from one record at one
         start row, so of two such windows the shorter is a prefix of the longer."""
         return self.pair_id, self.handover_id, ms_to_steps(self.t_e_ms) - len(self.x) + 1
@@ -170,7 +170,7 @@ class TrainingSample:
 
 @dataclass(frozen=True)
 class SamplingPolicy:
-    """The window boundaries, in ms relative to alignment: each t_e paired
+    """The window boundaries, in ms from the grip crossing: each t_e paired
     with each t_o. The default is the paper's grid, t_e every 50 ms from 0
     to -250 and t_o every 250 ms from -260 to -1010, then 240 ms on to -1250.
     """
@@ -205,8 +205,8 @@ def load_recordings(path: str) -> list[HandoverRecord]:
     load too; a CSV_COLUMNS name may appear only once. One np.loadtxt pass
     tokenizes each data row once (_parse_table). Records come back sorted by
     (pair_id, handover_id), rows within a record in file order, which must
-    already be timestamp-ascending. The aligned flag is false; call
-    align_handover before extracting samples. A malformed file raises
+    already be timestamp-ascending, the clock as recorded; extract_samples
+    cuts at the grip crossing whatever it reads. A malformed file raises
     DataError naming the row and field. A UTF-8 BOM before the header is dropped.
     """
     try:
@@ -263,7 +263,6 @@ def load_recordings(path: str) -> list[HandoverRecord]:
                 wrench=np.stack([block[c] for c in WRENCH_COLUMNS], axis=1),
                 grip_giver=block["grip_giver_N"].copy(),
                 grip_taker=block["grip_taker_N"].copy(),
-                aligned=False,
             )
         )
     return records
@@ -314,12 +313,10 @@ def save_recordings(records: list[HandoverRecord], path: str) -> None:
                 )
 
 
-def align_handover(record: HandoverRecord) -> HandoverRecord:
-    """Shift timestamps so t=0 sits on the grip-force intersection.
-
-    t=0 lands on the first sample index k where (giver - taker) moves from
-    positive to non-positive. Zero or multiple sign changes are hard errors:
-    ambiguity must surface, not be guessed away.
+def _crossing(record: HandoverRecord) -> int:
+    """The row at t=0 of the handover: the first sample index k where
+    (giver - taker) moves from positive to non-positive. Zero or multiple
+    sign changes are hard errors: ambiguity must surface, not be guessed away.
     """
     record.validate()
     pos = (record.grip_giver - record.grip_taker) > 0
@@ -340,14 +337,12 @@ def align_handover(record: HandoverRecord) -> HandoverRecord:
             f"handover ({record.pair_id}, {record.handover_id}): grip difference "
             f"only crosses upward (at index {k}); no giver release found"
         )
-    return replace(record, t_ms=record.t_ms - record.t_ms[k], aligned=True)
-
-
-def _zero_index(record: HandoverRecord) -> int:
-    k = int(np.argmin(np.abs(record.t_ms)))
-    if abs(record.t_ms[k]) > PERIOD_MS / 2:
-        raise ContractViolation("aligned record has no sample at t=0")
     return k
+
+
+def align_handover(record: HandoverRecord) -> HandoverRecord:
+    """Shift timestamps so t=0 sits on the grip crossing; windows do not need it."""
+    return replace(record, t_ms=record.t_ms - record.t_ms[_crossing(record)])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -369,7 +364,7 @@ def _normalized(x: np.ndarray, y: np.ndarray, stats: NormStats) -> tuple[np.ndar
 
 class _Source:
     """The rows of one record that its windows span, read-only, shared by the
-    windows extract_samples cuts from them; `zero` is the alignment row.
+    windows extract_samples cuts from them; `zero` is the crossing row.
 
     window() reads a window off these rows z-scored as a whole, once per
     NormStats: the last stats and their result are kept, so the windows
@@ -398,7 +393,8 @@ class _Source:
 def extract_samples(
     record: HandoverRecord, policy: SamplingPolicy = SamplingPolicy()
 ) -> list[TrainingSample]:
-    """All (t_o, t_e) windows of the policy that fit inside the record.
+    """All (t_o, t_e) windows of the policy that fit inside the record,
+    counted from its grip crossing (_crossing) whatever its clock reads.
 
     Samples come out in the policy's order, each t_e and each t_o within it:
     by default t_e 0, -50, -100, -150, -200, -250 ms and t_o -260, -510, -760,
@@ -408,14 +404,7 @@ def extract_samples(
     must not change while its windows are in use.
     """
     policy.validate()
-    if not record.aligned:
-        raise ContractViolation(
-            f"handover ({record.pair_id}, {record.handover_id}) is not aligned; "
-            "call align_handover first"
-        )
-    record.validate()
-
-    k0 = _zero_index(record)
+    k0 = _crossing(record)
     n = len(record)
     grid = []  # (t_o, t_e, first row, x length) of each window that fits
     for t_e in policy.t_e_ms:

@@ -29,7 +29,7 @@ from .errors import ContractViolation, DataError
 from .numerics import derive_seed, Rng
 
 # Span (ms, handover-relative) every generated record must cover around the
-# grip crossing so the default SamplingPolicy fits after alignment.
+# grip crossing so the default SamplingPolicy fits around it.
 REQUIRED_SPAN_MS = (-1300.0, 600.0)
 
 # Default randomization ranges used by generate_dataset.
@@ -136,14 +136,14 @@ def _smooth_noise(rng: Rng, n: int, std: float) -> np.ndarray:
 
 
 def generate_handover(params: SynthParams, pair_id: str, handover_id: str) -> HandoverRecord:
-    """One synthetic handover, emitted unaligned.
+    """One synthetic handover, its clock not zeroed at the grip crossing.
 
     Noiseless curves: giver grip hold*sigma(-(t-m)/w), taker grip
     peak*sigma((t-m)/w), vertical force load*sigma((t-m)/w) (the taker's
     load share ramping from 0 to the full object weight). The tangential
     channels carry fixed fractions of the load share (LOAD_MIX) plus the
     grip print-through (GIVER_GRIP_MIX / TAKER_GRIP_MIX). Time stamps are
-    shifted by a seeded random offset so align_handover has real work to do.
+    shifted by a seeded random offset, so the crossing does not sit at t=0.
     """
     params.validate()
     t_star = crossing_time_ms(params)
@@ -187,7 +187,6 @@ def generate_handover(params: SynthParams, pair_id: str, handover_id: str) -> Ha
         wrench=wrench,
         grip_giver=grip_giver,
         grip_taker=grip_taker,
-        aligned=False,
     )
 
 

@@ -76,7 +76,6 @@ def load_recordings(path: str) -> list[HandoverRecord]:
                 wrench=np.ascontiguousarray(data[:, 1:7]),
                 grip_giver=data[:, 7].copy(),
                 grip_taker=data[:, 8].copy(),
-                aligned=False,
             )
         )
     return records

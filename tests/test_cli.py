@@ -332,6 +332,8 @@ def test_train_config_unknown_key_is_data_error(run, tmp_path, capsys):
     (b'{"epochs": 2.5}', "epochs"),
     (b'{"batch_size": true}', "batch_size"),
     (b'{"clip_threshold": -1}', "clip_threshold"),
+    (b'{"adam_eps": 0}', "adam_eps"),
+    (b'{"hidden": 0}', "hidden"),
     (b'\xff\xfe{"epochs": 1}', "not valid JSON"),
     (b'{"epochs": 1, "hidden": 4, "epochs": 2}', "names key 'epochs' twice"),
 ])
@@ -519,7 +521,7 @@ def test_eval_outputs_and_recompute_oracle(run, tmp_path):
 
 def test_eval_needs_only_the_test_pairs(run, tmp_path):
     # A file holding only the held-out pair, or one whose training handovers
-    # cannot be aligned, evaluates as the full file does.
+    # have no grip crossing, evaluates as the full file does.
     records = load_recordings(run.data)
     only_test = tmp_path / "pair3.csv"
     save_recordings([r for r in records if r.pair_id == "3"], only_test)

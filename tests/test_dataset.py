@@ -1,4 +1,4 @@
-"""Tests for recording IO, alignment, window extraction, and normalization."""
+"""Tests for recording IO, the grip crossing, window extraction, and normalization."""
 
 import csv
 import gc
@@ -43,7 +43,6 @@ def make_record(
     k0=200,
     pair="1",
     handover="1",
-    aligned=True,
     grip_giver=None,
     grip_taker=None,
     offset_ms=0.0,
@@ -63,7 +62,6 @@ def make_record(
         wrench=wrench,
         grip_giver=np.asarray(grip_giver, dtype=float),
         grip_taker=np.asarray(grip_taker, dtype=float),
-        aligned=aligned,
     )
 
 
@@ -147,7 +145,7 @@ def test_load_bad_spacing(tmp_path):
 
 
 def test_save_load_round_trip_is_exact(tmp_path):
-    rec = make_record(n=40, k0=20, aligned=False)
+    rec = make_record(n=40, k0=20)
     p = tmp_path / "d.csv"
     save_recordings([rec], p)
     (back,) = load_recordings(p)
@@ -179,7 +177,7 @@ def _same_records(got, want):
     assert [(r.pair_id, r.handover_id) for r in got] == [
         (r.pair_id, r.handover_id) for r in want]
     for a, b in zip(got, want):
-        assert type(a.pair_id) is str and type(a.handover_id) is str and not a.aligned
+        assert type(a.pair_id) is str and type(a.handover_id) is str
         for name in ("t_ms", "wrench", "grip_giver", "grip_taker"):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype == np.float64 and x.shape == y.shape, name
@@ -433,15 +431,14 @@ def test_loader_refuses_cells_only_float_reads(synth_csv, tmp_path, text):
 
 
 # ---------------------------------------------------------------------------
-# alignment
+# the grip crossing and align_handover
 
 
 def test_align_places_zero_on_first_downward_crossing():
     # Symmetric logistic curves crossing exactly between samples; the first
     # sample with giver - taker <= 0 becomes t = 0.
-    rec = make_record(aligned=False, offset_ms=123.4)
+    rec = make_record(offset_ms=123.4)
     out = align_handover(rec)
-    assert out.aligned
     k = int(np.argmin(np.abs(out.t_ms)))
     assert out.t_ms[k] == 0.0
     d = out.grip_giver - out.grip_taker
@@ -452,7 +449,7 @@ def test_align_exact_touch_counts_as_crossing():
     # d hits exactly zero at index 5 and stays negative after.
     n = 11
     d = np.array([5.0, 4, 3, 2, 1, 0, -1, -2, -3, -4, -5])
-    rec = make_record(n=n, k0=3, aligned=False, grip_giver=d + 1.0, grip_taker=np.ones(n))
+    rec = make_record(n=n, k0=3, grip_giver=d + 1.0, grip_taker=np.ones(n))
     out = align_handover(rec)
     k = int(np.argmin(np.abs(out.t_ms)))
     assert (out.grip_giver - out.grip_taker)[k] == 0.0
@@ -460,7 +457,7 @@ def test_align_exact_touch_counts_as_crossing():
 
 
 def test_align_is_idempotent():
-    rec = make_record(aligned=False, offset_ms=-77.0)
+    rec = make_record(offset_ms=-77.0)
     once = align_handover(rec)
     twice = align_handover(once)
     assert np.array_equal(once.t_ms, twice.t_ms)
@@ -470,7 +467,7 @@ def test_align_is_idempotent():
 def test_align_no_crossing_is_hard_error():
     n = 50
     rec = make_record(
-        n=n, k0=25, aligned=False, grip_giver=np.full(n, 10.0), grip_taker=np.full(n, 1.0)
+        n=n, k0=25, grip_giver=np.full(n, 10.0), grip_taker=np.full(n, 1.0)
     )
     with pytest.raises(DataError, match="never cross"):
         align_handover(rec)
@@ -481,7 +478,7 @@ def test_align_multiple_crossings_lists_candidates():
     d = np.ones(n)
     d[20:30] = -1.0  # down at 20, up at 30
     d[45:] = -1.0  # down again at 45
-    rec = make_record(n=n, k0=10, aligned=False, grip_giver=d + 5.0, grip_taker=np.full(n, 5.0))
+    rec = make_record(n=n, k0=10, grip_giver=d + 5.0, grip_taker=np.full(n, 5.0))
     with pytest.raises(DataError, match="multiple") as err:
         align_handover(rec)
     assert "20" in str(err.value) and "30" in str(err.value) and "45" in str(err.value)
@@ -490,13 +487,13 @@ def test_align_multiple_crossings_lists_candidates():
 def test_align_upward_only_crossing_rejected():
     n = 50
     d = np.concatenate([np.full(25, -1.0), np.full(25, 1.0)])
-    rec = make_record(n=n, k0=10, aligned=False, grip_giver=d, grip_taker=np.zeros(n))
+    rec = make_record(n=n, k0=10, grip_giver=d, grip_taker=np.zeros(n))
     with pytest.raises(DataError, match="upward"):
         align_handover(rec)
 
 
 def _grip_crossings_loop(giver, taker):
-    """The per-sample loops that align_handover's one sign-change scan replaces."""
+    """The per-sample loops that _crossing's one sign-change scan replaces."""
     d = giver - taker
     pos = d > 0
     down = [k for k in range(1, len(d)) if pos[k - 1] and not pos[k]]
@@ -512,10 +509,10 @@ def test_grip_crossings_match_loop_version(signs):
     giver = np.array(signs)
     taker = np.zeros(len(signs))
     down, up = _grip_crossings_loop(giver, taker)
-    rec = make_record(n=len(signs), k0=0, aligned=False, grip_giver=giver, grip_taker=taker)
+    rec = make_record(n=len(signs), k0=0, grip_giver=giver, grip_taker=taker)
     if len(down) == 1 and not up:
         out = align_handover(rec)
-        assert out.aligned and out.t_ms[down[0]] == 0.0
+        assert out.t_ms[down[0]] == 0.0
         return
     reason = "never cross" if not down + up else "multiple" if len(down + up) > 1 else "upward"
     with pytest.raises(DataError, match=reason):
@@ -572,7 +569,8 @@ def test_extract_full_grid_is_30_samples():
 def test_extract_window_contents_are_contiguous():
     # Plant index ramps so window positions are directly readable.
     n, k0 = 300, 200
-    rec = make_record(n=n, k0=k0, grip_giver=np.arange(n, dtype=float))
+    ramp = np.arange(n, dtype=float)
+    rec = make_record(n=n, k0=k0, grip_giver=ramp, grip_taker=2 * ramp - k0)
     rec.wrench[:, 0] = np.arange(n)
     samples = extract_samples(rec)
     s = next(t for t in samples if t.t_e_ms == 0.0 and t.t_o_ms == -260.0)
@@ -606,7 +604,7 @@ def test_extract_skips_windows_without_room():
          offset_ms=0.0)  # the default grid
 def test_window_family_names_its_rows(t_e_lo, t_e_stride, gap, t_o_span, t_o_stride,
                                       offset_ms):
-    # A window's family start is its first row counted from the alignment
+    # A window's family start is its first row counted from the crossing
     # row, under any grid rounding, and apply_norm keeps the family.
     policy = SamplingPolicy(
         t_e_ms=tuple(_range_points(t_e_lo, 0.0, t_e_stride)),
@@ -615,7 +613,7 @@ def test_window_family_names_its_rows(t_e_lo, t_e_stride, gap, t_o_span, t_o_str
     samples = extract_samples(rec, policy)
     stats = NormStats(wrench_mean=np.full(6, 0.5), wrench_std=np.full(6, 2.0),
                       grip_mean=1.0, grip_std=3.0)
-    k0 = 200
+    k0 = int(np.argmax(rec.grip_giver <= rec.grip_taker))  # the grip crossing
     for s in samples:
         pair, handover, start = s.family
         assert (pair, handover) == ("1", "1")
@@ -623,10 +621,15 @@ def test_window_family_names_its_rows(t_e_lo, t_e_stride, gap, t_o_span, t_o_str
         assert apply_norm(s, stats).family == s.family
 
 
-def test_extract_requires_alignment():
-    rec = make_record(aligned=False)
-    with pytest.raises(ContractViolation, match="not aligned"):
-        extract_samples(rec)
+def test_extract_cuts_at_the_crossing_whatever_the_clock():
+    # The reference dataset as generated, its clocks not zeroed at the
+    # crossing, gives the windows of its re-zeroed copy, bit for bit.
+    for rec in generate_dataset(13, 10, 7):
+        got, want = extract_samples(rec), extract_samples(align_handover(rec))
+        assert len(got) == len(want) == 30
+        for a, b in zip(got, want):
+            assert (a.t_o_ms, a.t_e_ms) == (b.t_o_ms, b.t_e_ms)
+            assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
 
 
 def test_single_point_policy():
@@ -850,10 +853,9 @@ def test_normalize_grip_inverse_property():
 
 @pytest.fixture(scope="module")
 def reference_split():
-    """The reference dataset (seed 7, 13 pairs x 10 handovers) aligned and
-    split as train does: (train records, test records)."""
-    records = [align_handover(r) for r in generate_dataset(13, 10, 7)]
-    return split_by_pair(records, {"12", "13"})
+    """The reference dataset (seed 7, 13 pairs x 10 handovers) split as
+    train does: (train records, test records)."""
+    return split_by_pair(generate_dataset(13, 10, 7), {"12", "13"})
 
 
 def _windows(records):

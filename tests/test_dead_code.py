@@ -1,6 +1,6 @@
 """Every module-level private name and every module-level import in src/ is
-used there, and every public name in src/ is read by src/, perfbench/ or
-tests/: code that nothing calls is deleted, not kept."""
+used there, and every public name and dataclass field in src/ is read by
+src/, perfbench/ or tests/: code that nothing calls is deleted, not kept."""
 
 import ast
 from collections import Counter
@@ -56,13 +56,28 @@ def test_every_private_module_name_is_used_in_src():
     assert not unused, unused
 
 
-def test_every_public_name_in_src_is_read_somewhere():
-    # Public module-level names and public methods; a read inside the name's
-    # own definition (a recursive call, say) does not count.
+def _all_trees() -> dict[Path, ast.Module]:
+    """The parsed .py files of src/, perfbench/ and tests/."""
     files = [path for top in ("src", "perfbench", "tests")
              for path in sorted((ROOT / top).rglob("*.py"))]
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
     assert SRC / "model.py" in trees and ROOT / "perfbench" / "run.py" in trees
+    return trees
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(class name, field name) of each field of each module-level dataclass."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            yield from ((cls.name, stmt.target.id) for stmt in cls.body
+                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name))
+
+
+def test_every_public_name_in_src_is_read_somewhere():
+    # Public module-level names and public methods; a read inside the name's
+    # own definition (a recursive call, say) does not count.
+    trees = _all_trees()
     uses = sum((_uses(tree) for tree in trees.values()), Counter())
     unused = [f"{path.name}: {name}"
               for path in sorted(SRC.glob("*.py"))
@@ -83,3 +98,21 @@ def test_every_module_level_import_is_used():
                 unused += [f"{path.name}: {alias.name}" for alias in stmt.names
                            if (alias.asname or alias.name.split(".")[0]) not in reads]
     assert not unused, unused
+
+
+def test_every_dataclass_field_in_src_is_read_somewhere():
+    # A read is an attribute load (`rec.t_ms`) or the field's name as a
+    # string (a getattr or a config key); passing it to the constructor is not.
+    trees = _all_trees()
+    reads = Counter()
+    for tree in trees.values():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                reads[sub.attr] += 1
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                reads[sub.value] += 1
+    fields = [(path.name, *field) for path in sorted(SRC.glob("*.py"))
+              for field in _dataclass_fields(trees[path])]
+    assert len(fields) > 40
+    unread = [f"{module}: {cls}.{name}" for module, cls, name in fields if not reads[name]]
+    assert not unread, unread

@@ -83,6 +83,8 @@ def test_layout_views_tile_the_vector_once():
 def test_model_params_rejects_wrong_length():
     with pytest.raises(ContractViolation, match="23350"):
         m.ModelParams(np.zeros(23349), 40)
+    with pytest.raises(ContractViolation, match="hidden must be >= 1"):
+        m.init_params(0, hidden=0)
 
 
 def test_init_weight_range_and_biases():
@@ -177,6 +179,8 @@ def test_forward_rejects_bad_input():
         m.forward_batch(np.zeros((0, 1, 6)), params)
     with pytest.raises(ContractViolation):
         m.forward_batch(np.zeros((5, 1, 4)), params)
+    with pytest.raises(ContractViolation, match=r"target shape \(1, 69\)"):
+        m.backward_batch(np.zeros((5, 1, 6)), np.zeros((1, 69)), params)
 
 
 def packed_case(pad):

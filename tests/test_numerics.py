@@ -74,6 +74,8 @@ def test_normals_zero_std_is_constant():
 def test_normals_negative_std_rejected():
     with pytest.raises(ContractViolation):
         Rng(5).normals(3, std=-1.0)
+    with pytest.raises(ContractViolation, match="n must be >= 0"):
+        Rng(5).normals(-1)
 
 
 def test_normals_consume_fixed_uniform_budget():

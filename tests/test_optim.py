@@ -442,6 +442,8 @@ def test_evaluate_empty_rejected():
     params = replace(m.init_params(0, hidden=3), norm=unit_norm())
     with pytest.raises(ContractViolation):
         optim.evaluate(params, [])
+    with pytest.raises(ContractViolation, match="no normalization stats"):
+        optim.evaluate(m.init_params(0, hidden=3), make_samples(1, seed=0))
 
 
 def test_evaluate_on_overfit_training_data_equals_train_loss():

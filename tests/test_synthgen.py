@@ -89,7 +89,6 @@ def test_different_seeds_differ():
 
 def test_record_is_emitted_unaligned():
     rec = generate_handover(SynthParams(seed=3), "1", "1")
-    assert not rec.aligned
     aligned = align_handover(rec)
     k = int(np.argmin(np.abs(aligned.t_ms)))
     assert aligned.t_ms[k] == 0.0
@@ -121,6 +120,10 @@ def test_invalid_params_rejected():
         generate_handover(SynthParams(transfer_width_ms=0.0), "1", "1")
     with pytest.raises(ContractViolation):
         generate_handover(SynthParams(giver_hold_N=-1.0), "1", "1")
+    with pytest.raises(ContractViolation, match="increasing interval"):
+        generate_handover(SynthParams(duration_ms=(1300.0, -1300.0)), "1", "1")
+    with pytest.raises(ContractViolation, match="noise stds"):
+        generate_handover(SynthParams(noise_torque_std=-0.01), "1", "1")
 
 
 def test_generate_dataset_counts_and_ids():
@@ -144,8 +147,7 @@ def test_generate_dataset_default_policy_sample_count():
 def test_generate_dataset_every_record_aligns():
     for seed in (0, 7, 123):
         for rec in generate_dataset(4, 5, seed=seed):
-            aligned = align_handover(rec)  # must not raise
-            assert aligned.aligned
+            align_handover(rec)  # must not raise
 
 
 def test_generate_dataset_deterministic_and_seed_sensitive():
