@@ -2,7 +2,9 @@
 
 Owns every on-disk format (dataset CSV via the dataset module, checkpoint
 JSON, loss-history CSV, metrics JSON, comparison CSV, forecast CSV) and the
-line-delimited streaming protocol. `predict` and `stream` read the same
+line-delimited streaming protocol. Each output file replaces its path only
+once it is whole (dataset.replacing), so a failed or interrupted command
+leaves an earlier file as it was. `predict` and `stream` read the same
 tick rows (WRENCH_CSV_HEADER: t_ms, then dataset.WRENCH_COLUMNS) through
 one reader, `_read_ticks`. A forecast that is not finite is never written:
 predict and eval exit 2, stream writes a note instead. Exit codes: 0 success,
@@ -43,6 +45,7 @@ from .dataset import (
     load_recordings,
     ms_to_steps,
     parse_number,
+    replacing,
     save_recordings,
     spacing_off,
     split_by_pair,
@@ -120,7 +123,7 @@ def save_checkpoint(path: str | Path, params: m.ModelParams, cfg: TrainConfig) -
     row-major lists next to their shapes, the CHECKPOINT_NORM stats, and the
     config echo.
 
-    The JSON goes to a sibling temp file that then replaces `path`, so a
+    The file replaces `path` only once it is whole (dataset.replacing), so a
     write that fails or is interrupted leaves any old checkpoint as it was
     and no temp file behind."""
     if params.norm is None:
@@ -134,16 +137,9 @@ def save_checkpoint(path: str | Path, params: m.ModelParams, cfg: TrainConfig) -
                  for key in CHECKPOINT_NORM},
         "train_config": dataclasses.asdict(cfg),
     }
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:  # KeyboardInterrupt too
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing(path) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _checkpoint_array(
@@ -168,7 +164,8 @@ def _checkpoint_array(
 
 def _read_json_object(path: str | Path, what: str) -> dict:
     """The JSON object in the file at `path`; DataError names `what` and the path.
-    An object at any depth that names a key twice is refused."""
+    A UTF-8 BOM before it is dropped. An object at any depth that names a key
+    twice is refused."""
 
     def unique(pairs: list[tuple[str, object]]) -> dict:
         obj = dict(pairs)
@@ -179,7 +176,7 @@ def _read_json_object(path: str | Path, what: str) -> dict:
         return obj
 
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh, object_pairs_hook=unique)
     except DataError:
         raise
@@ -388,7 +385,8 @@ def _check_out_dir(out: str) -> None:
 
     The nearest existing path among --out and its ancestors must be a
     directory. Nothing is created here: the outputs' mkdir runs only once
-    they are ready, so a failed run leaves no directory behind.
+    they are ready, so a failed run leaves no directory behind, and each
+    output then replaces its file only once it is whole (dataset.replacing).
     """
     path = Path(out)
     existing = next(a for a in (path, *path.parents) if a.exists() or a.is_symlink())
@@ -418,7 +416,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / "checkpoint.json", params, cfg)
-    with open(out_dir / "loss_history.csv", "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(out_dir / "loss_history.csv") as fh:
         fh.write("epoch,train_mse,test_mse\n")
         for epoch, (tr, te) in enumerate(zip(history.train, history.test), start=1):
             fh.write(f"{epoch},{_fmt(tr)},{_fmt(te)}\n")
@@ -449,10 +447,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "metrics.json", "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(out_dir / "metrics.json") as fh:
         json.dump({**summary, "n_samples": metrics.n_samples}, fh, indent=2)
         fh.write("\n")
-    with open(out_dir / "comparison.csv", "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(out_dir / "comparison.csv") as fh:
         fh.write("sample_id,step,t_ms,predicted_N,actual_N\n")
         for s, predicted in zip(test_raw, metrics.predicted_N):
             base = ms_to_steps(s.t_e_ms)
@@ -490,7 +488,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        with replacing(args.out) as fh:
             fh.write(text)
     return EXIT_OK
 

@@ -15,17 +15,22 @@ window's x and y are read-only views of its record, and apply_norm z-scores
 a record's rows once and hands out views of them. The normalization stats
 are fit over the training windows read in pieces of bounded size, each one
 copied afresh from the windows it spans (_piece), never the windows
-concatenated, with the bits numpy gives for the concatenation.
+concatenated, with the bits numpy gives for the concatenation. `replacing`
+is the package's one file writer.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
+from pathlib import Path
 from typing import NoReturn, TextIO
 
 import numpy as np
@@ -299,9 +304,35 @@ def _raise_first_bad_row(path: str, index: dict[str, int], exc: ValueError | Non
     raise DataError(f"{path}: cannot parse ({exc})")
 
 
+@contextmanager
+def replacing(path: str | Path) -> Iterator[TextIO]:
+    """A text file, UTF-8 with LF line ends, that replaces `path` when the
+    block ends: the one writer of every output.
+
+    It is written as a sibling `<name>.<pid>.tmp` and renamed over `path`, so
+    a symlink there is replaced, not written through, and the new file's mode
+    comes from the umask. On any exception, KeyboardInterrupt too, the temp
+    file goes and `path` keeps its old bytes; an OSError from the temp file
+    or the rename names `path` instead.
+    """
+    target = Path(path)
+    tmp = target.parent / f"{target.name}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:  # KeyboardInterrupt too
+        with suppress(OSError):  # not there if its open failed
+            tmp.unlink()
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+        raise
+
+
 def save_recordings(records: list[HandoverRecord], path: str) -> None:
-    """Write records in the recording CSV format with exact float round-trip."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Write records in the recording CSV format (csv's CRLF row ends) with exact
+    float round-trip, replacing `path` only once the file is whole."""
+    with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for rec in records:

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gripforecast import cli
+from gripforecast import dataset
 from gripforecast import model as m
 from gripforecast.dataset import (
     NormStats,
@@ -242,6 +243,102 @@ def run_interrupted(argv, stdin_text=""):
         pytest.fail("KeyboardInterrupt escaped cli.main")
 
 
+class _InterruptedList(list):
+    """A list whose iteration yields its first `n` items, then raises KeyboardInterrupt."""
+
+    def __init__(self, items, n):
+        super().__init__(items)
+        self.n = n
+
+    def __iter__(self):
+        yield from self[:self.n]
+        raise KeyboardInterrupt
+
+
+def interrupt_fmt_after(monkeypatch, calls):
+    """Make cli._fmt raise KeyboardInterrupt once it has formatted `calls` values."""
+    real, left = cli._fmt, [calls]
+
+    def fmt(value):
+        left[0] -= 1
+        if left[0] < 0:
+            raise KeyboardInterrupt
+        return real(value)
+
+    monkeypatch.setattr(cli, "_fmt", fmt)
+
+
+class _DiskFull:
+    """A text file opened for writing that takes `room` characters, then
+    raises ENOSPC, as a write to a full disk does."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def write(self, text):
+        if len(text) > self.room:
+            self.fh.write(text[:self.room])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(text)
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def fill_disk_on(monkeypatch, name, room):
+    """Every file that the writer (dataset.replacing) opens under a name that
+    starts with `name` takes `room` characters (_DiskFull)."""
+    def fake_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return _DiskFull(fh, room) if os.path.basename(file).startswith(name) else fh
+
+    monkeypatch.setattr(dataset, "open", fake_open, raising=False)
+
+
+@pytest.mark.parametrize("output", ["synth", "loss_history", "comparison", "predict"])
+def test_output_write_that_fails_partway_keeps_the_old_file(run, tmp_path, monkeypatch, output):
+    # Every output is replaced only when it is whole, as checkpoint.json is:
+    # a write interrupted (exit 130) or failed (exit 2) partway leaves the
+    # earlier file byte for byte, and no temp file.
+    out = tmp_path / "out"
+    out.mkdir()
+    if output == "synth":
+        target, files = out / "d.csv", ["d.csv"]
+        records = cli.generate_dataset(1, 3, 5)
+        monkeypatch.setattr(cli, "generate_dataset", lambda *a: _InterruptedList(records, 2))
+        argv = ["synth", "--pairs", "1", "--per-pair", "3", "--seed", "5", "--out", str(target)]
+    elif output == "loss_history":
+        target, files = out / "loss_history.csv", ["checkpoint.json", "loss_history.csv"]
+        interrupt_fmt_after(monkeypatch, 2)  # in the second epoch's row
+        argv = ["train", "--data", str(run.data), "--test-pairs", "3", "--config",
+                str(run.cfg_path), "--out", str(out)]
+    elif output == "comparison":
+        target, files = out / "comparison.csv", ["comparison.csv", "metrics.json"]
+        interrupt_fmt_after(monkeypatch, 1000)
+        argv = ["eval", "--model", str(run.ckpt), "--data", str(run.data), "--test-pairs", "3",
+                "--out", str(out)]
+    else:
+        target, files = out / "p.csv", ["p.csv"]
+        rec = align_handover(load_recordings(run.data)[0])
+        window = tmp_path / "w.csv"
+        make_window_csv(window, rec, int(np.argmin(np.abs(rec.t_ms))))
+        fill_disk_on(monkeypatch, "p.csv", 1000)
+        argv = ["predict", "--model", str(run.ckpt), "--input", str(window), "--out", str(target)]
+    old = b"an earlier file\n"
+    target.write_bytes(old)
+    rc, stdout, err = run_interrupted(argv)
+    assert (rc, stdout, err) == ((cli.EXIT_DATA, "", "error: [Errno 28] No space left on device\n")
+                                 if output == "predict" else
+                                 (cli.EXIT_INTERRUPTED, "", "interrupted\n"))
+    assert target.read_bytes() == old
+    assert sorted(os.listdir(out)) == files
+
+
 def test_train_ctrl_c_is_one_line_and_exit_130(run, tmp_path, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
@@ -355,6 +452,22 @@ def test_train_config_wrong_type_is_data_error(run, tmp_path, capsys, text, fiel
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("what", ["config", "checkpoint"])
+def test_json_input_with_a_bom_loads_as_without_it(run, tmp_path, what):
+    # A UTF-8 byte-order mark before the JSON is dropped, as it is before a
+    # recording CSV or a tick file.
+    plain = run.cfg_path if what == "config" else run.ckpt
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    if what == "config":
+        assert cli._load_train_config(str(bom)) == TrainConfig(**SMALL_CFG)
+        return
+    params, _ = cli.load_checkpoint(bom)
+    again = tmp_path / "again.json"
+    cli.save_checkpoint(again, params, TrainConfig(**json.loads(plain.read_text())["train_config"]))
+    assert again.read_bytes() == plain.read_bytes()
+
+
 def test_train_divergence_is_data_error_before_any_output(run, tmp_path, capsys):
     # A learning rate this large sends the weights to inf within an epoch;
     # the run must stop there, not write NaN into checkpoint.json.
@@ -466,6 +579,31 @@ def test_out_naming_a_file_is_data_error_before_any_work(run, tmp_path, capsys, 
     assert rc == cli.EXIT_DATA
     assert err == f"error: --out {out}: {taken} exists and is not a directory\n"
     assert taken.read_text() == "x"
+
+
+@pytest.mark.parametrize("command, out, says", [
+    ("predict", "missing/p.csv", "No such file or directory"),
+    ("synth", "missing/d.csv", "No such file or directory"),
+    ("predict", "adir", "Is a directory"),
+], ids=["predict_dir_missing", "synth_dir_missing", "predict_to_a_directory"])
+def test_unwritable_out_is_one_error_line_naming_it(run, tmp_path, command, out, says):
+    # The error names the path given, not the temp file written next to it,
+    # and no temp file is left.
+    (tmp_path / "adir").mkdir()
+    target = tmp_path / out
+    if command == "synth":
+        argv = ["synth", "--pairs", "1", "--per-pair", "1", "--out", str(target)]
+    else:
+        rec = align_handover(load_recordings(run.data)[0])
+        window = tmp_path / "w.csv"
+        make_window_csv(window, rec, int(np.argmin(np.abs(rec.t_ms))))
+        argv = ["predict", "--model", str(run.ckpt), "--input", str(window), "--out", str(target)]
+    rc, stdout, err = run_in_process(argv)
+    assert (rc, stdout) == (cli.EXIT_DATA, "")
+    assert err.startswith("error: ") and err.endswith(f"{says}: '{target}'\n")
+    assert err.count("\n") == 1 and ".tmp" not in err
+    assert sorted(os.listdir(tmp_path)) == (["adir", "w.csv"] if command == "predict" else ["adir"])
+    assert os.listdir(tmp_path / "adir") == []
 
 
 @pytest.mark.parametrize("exc_type", [RuntimeError, ContractViolation],
