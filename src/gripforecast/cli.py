@@ -2,9 +2,7 @@
 
 Owns every on-disk format (dataset CSV via the dataset module, checkpoint
 JSON, loss-history CSV, metrics JSON, comparison CSV, forecast CSV) and the
-line-delimited streaming protocol. Each output file replaces its path only
-once it is whole (dataset.replacing), so a failed or interrupted command
-leaves an earlier file as it was. `predict` and `stream` read the same
+line-delimited streaming protocol. `predict` and `stream` read the same
 tick rows (WRENCH_CSV_HEADER: t_ms, then dataset.WRENCH_COLUMNS) through
 one reader, `_read_ticks`. A forecast that is not finite is never written:
 predict and eval exit 2, stream writes a note instead. Exit codes: 0 success,
@@ -123,9 +121,7 @@ def save_checkpoint(path: str | Path, params: m.ModelParams, cfg: TrainConfig) -
     row-major lists next to their shapes, the CHECKPOINT_NORM stats, and the
     config echo.
 
-    The file replaces `path` only once it is whole (dataset.replacing), so a
-    write that fails or is interrupted leaves any old checkpoint as it was
-    and no temp file behind."""
+    Saved with dataset.replacing."""
     if params.norm is None:
         raise ContractViolation("checkpoint requires normalization stats on the model")
     doc = {
@@ -385,8 +381,7 @@ def _check_out_dir(out: str) -> None:
 
     The nearest existing path among --out and its ancestors must be a
     directory. Nothing is created here: the outputs' mkdir runs only once
-    they are ready, so a failed run leaves no directory behind, and each
-    output then replaces its file only once it is whole (dataset.replacing).
+    they are ready, so a failed run leaves no directory behind.
     """
     path = Path(out)
     existing = next(a for a in (path, *path.parents) if a.exists() or a.is_symlink())

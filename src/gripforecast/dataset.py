@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import stat
 import warnings
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
@@ -309,19 +310,35 @@ def replacing(path: str | Path) -> Iterator[TextIO]:
     """A text file, UTF-8 with LF line ends, that replaces `path` when the
     block ends: the one writer of every output.
 
-    It is written as a sibling `<name>.<pid>.tmp` and renamed over `path`, so
-    a symlink there is replaced, not written through, and the new file's mode
-    comes from the umask. On any exception, KeyboardInterrupt too, the temp
-    file goes and `path` keeps its old bytes; an OSError from the temp file
-    or the rename names `path` instead.
+    The file `path` names, its symlinks followed (`/dev/stdout` too), is
+    written as a sibling `<name>.<pid>.tmp` (the name cut to 200 bytes),
+    synced and renamed over it, so the new file's mode comes from the umask.
+    On any exception, KeyboardInterrupt too, the temp file goes and the file
+    keeps its old bytes; an OSError from the temp file or the rename names
+    `path` instead. A `path` that is there and not a regular file (a device,
+    a pipe) cannot be replaced: it is opened and written through.
     """
-    target = Path(path)
-    tmp = target.parent / f"{target.name}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # not there yet
+        regular = True
+    if not regular:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
-        os.replace(tmp, path)
+        return
+    target = Path(os.path.realpath(path))
+    name = os.fsdecode(os.fsencode(target.name)[:200])
+    tmp = target.parent / f"{name}.{os.getpid()}.tmp"
+    try:
+        # "x": an entry already at the temp name is refused, not followed
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, target)
     except BaseException as exc:  # KeyboardInterrupt too
+        if isinstance(exc, FileExistsError) and exc.filename == str(tmp):
+            raise  # an entry already at the temp name: not ours to remove
         with suppress(OSError):  # not there if its open failed
             tmp.unlink()
         if isinstance(exc, OSError) and exc.filename == str(tmp):
@@ -331,7 +348,7 @@ def replacing(path: str | Path) -> Iterator[TextIO]:
 
 def save_recordings(records: list[HandoverRecord], path: str) -> None:
     """Write records in the recording CSV format (csv's CRLF row ends) with exact
-    float round-trip, replacing `path` only once the file is whole."""
+    float round-trip."""
     with replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)

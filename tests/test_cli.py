@@ -9,8 +9,10 @@ import json
 import math
 import os
 import signal
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -300,6 +302,15 @@ def fill_disk_on(monkeypatch, name, room):
     monkeypatch.setattr(dataset, "open", fake_open, raising=False)
 
 
+def predict_window_argv(run, tmp_path, out):
+    """predict on one window of the first handover, to `out` (None: stdout)."""
+    rec = align_handover(load_recordings(run.data)[0])
+    window = tmp_path / "w.csv"
+    make_window_csv(window, rec, int(np.argmin(np.abs(rec.t_ms))))
+    argv = ["predict", "--model", str(run.ckpt), "--input", str(window)]
+    return argv + ["--out", str(out)] if out else argv
+
+
 @pytest.mark.parametrize("output", ["synth", "loss_history", "comparison", "predict"])
 def test_output_write_that_fails_partway_keeps_the_old_file(run, tmp_path, monkeypatch, output):
     # Every output is replaced only when it is whole, as checkpoint.json is:
@@ -324,11 +335,8 @@ def test_output_write_that_fails_partway_keeps_the_old_file(run, tmp_path, monke
                 "--out", str(out)]
     else:
         target, files = out / "p.csv", ["p.csv"]
-        rec = align_handover(load_recordings(run.data)[0])
-        window = tmp_path / "w.csv"
-        make_window_csv(window, rec, int(np.argmin(np.abs(rec.t_ms))))
         fill_disk_on(monkeypatch, "p.csv", 1000)
-        argv = ["predict", "--model", str(run.ckpt), "--input", str(window), "--out", str(target)]
+        argv = predict_window_argv(run, tmp_path, target)
     old = b"an earlier file\n"
     target.write_bytes(old)
     rc, stdout, err = run_interrupted(argv)
@@ -594,16 +602,62 @@ def test_unwritable_out_is_one_error_line_naming_it(run, tmp_path, command, out,
     if command == "synth":
         argv = ["synth", "--pairs", "1", "--per-pair", "1", "--out", str(target)]
     else:
-        rec = align_handover(load_recordings(run.data)[0])
-        window = tmp_path / "w.csv"
-        make_window_csv(window, rec, int(np.argmin(np.abs(rec.t_ms))))
-        argv = ["predict", "--model", str(run.ckpt), "--input", str(window), "--out", str(target)]
+        argv = predict_window_argv(run, tmp_path, target)
     rc, stdout, err = run_in_process(argv)
     assert (rc, stdout) == (cli.EXIT_DATA, "")
     assert err.startswith("error: ") and err.endswith(f"{says}: '{target}'\n")
     assert err.count("\n") == 1 and ".tmp" not in err
     assert sorted(os.listdir(tmp_path)) == (["adir", "w.csv"] if command == "predict" else ["adir"])
     assert os.listdir(tmp_path / "adir") == []
+
+
+@pytest.mark.parametrize("kind", ["fifo", "link_to_stdout", "name_254_bytes"])
+def test_predict_out_is_written_where_a_replace_cannot_go(run, cli_env, tmp_path, kind):
+    # A pipe cannot be replaced: it is written through, and stays a pipe. A
+    # symlink, here one like /dev/stdout with stdout a file, is followed to
+    # the file, which is replaced; the link stays. A name near the 255-byte
+    # limit is written: the temp name is cut to fit.
+    rc, expected, _ = run_in_process(predict_window_argv(run, tmp_path, None))
+    assert rc == cli.EXIT_OK
+    name = {"fifo": "fifo", "link_to_stdout": "stdout", "name_254_bytes": "p" * 250 + ".csv"}[kind]
+    target = tmp_path / name
+    argv = predict_window_argv(run, tmp_path, target)
+    got, files = [], [name, "w.csv"]
+    if kind == "fifo":
+        os.mkfifo(target)
+        reader = threading.Thread(target=lambda: got.append(target.read_text()), daemon=True)
+        reader.start()
+        assert run_in_process(argv) == (cli.EXIT_OK, "", "")
+        reader.join(timeout=60)
+        assert stat.S_ISFIFO(os.lstat(target).st_mode)
+    elif kind == "link_to_stdout":
+        target.symlink_to("/proc/self/fd/1")
+        files.append("f.csv")
+        with open(tmp_path / "f.csv", "wb") as stdout:
+            proc = subprocess.run([sys.executable, "-m", "gripforecast", *argv], env=cli_env,
+                                  stdout=stdout, stderr=subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, b"")
+        assert os.readlink(target) == "/proc/self/fd/1"
+        got.append((tmp_path / "f.csv").read_text())
+    else:
+        assert run_in_process(argv) == (cli.EXIT_OK, "", "")
+        got.append(target.read_text())
+    assert got == [expected]
+    assert sorted(os.listdir(tmp_path)) == sorted(files)
+
+
+def test_entry_at_the_temp_name_is_refused_not_followed(run, tmp_path):
+    # The temp name is predictable, so whatever is already there (here a
+    # symlink to another file) is refused and left as it is, not written
+    # through or removed.
+    other, target = tmp_path / "other.txt", tmp_path / "p.csv"
+    other.write_text("another file\n")
+    planted = tmp_path / f"p.csv.{os.getpid()}.tmp"
+    planted.symlink_to(other)
+    rc, stdout, err = run_in_process(predict_window_argv(run, tmp_path, target))
+    assert (rc, stdout, err) == (cli.EXIT_DATA, "", f"error: [Errno 17] File exists: '{planted}'\n")
+    assert other.read_text() == "another file\n" and os.readlink(planted) == str(other)
+    assert sorted(os.listdir(tmp_path)) == ["other.txt", planted.name, "w.csv"]
 
 
 @pytest.mark.parametrize("exc_type", [RuntimeError, ContractViolation],
